@@ -10,17 +10,7 @@ language complexities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Alphabet, PartialDfa
-
-
-@dataclass(frozen=True)
-class ProductTag:
-    """Origin of one product state: component indices, None = dead padding."""
-
-    left: int | None
-    right: int | None
+from .core import PartialDfa
 
 
 def _check_same_alphabet(a: PartialDfa, b: PartialDfa) -> None:
@@ -28,10 +18,9 @@ def _check_same_alphabet(a: PartialDfa, b: PartialDfa) -> None:
         raise ValueError("operands must share one alphabet, in the same order")
 
 
-def _padded_size(dfa: PartialDfa) -> tuple[int, bool]:
+def _padded_size(dfa: PartialDfa) -> int:
     """Component size after padding: +1 dead slot iff some move is undefined."""
-    incomplete = not dfa.is_complete()
-    return dfa.state_count + (1 if incomplete else 0), incomplete
+    return dfa.state_count + (0 if dfa.is_complete() else 1)
 
 
 def union_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
@@ -45,8 +34,8 @@ def union_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
     """
     _check_same_alphabet(a, b)
     na, nb = a.state_count, b.state_count
-    pa, _ = _padded_size(a)
-    pb, _ = _padded_size(b)
+    pa = _padded_size(a)
+    pb = _padded_size(b)
 
     def idx(p: int, q: int) -> int:
         return p * pb + q
@@ -77,42 +66,13 @@ def union_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
     return PartialDfa(a.alphabet, pa * pb, idx(a.start, b.start), accepting, transitions)
 
 
-def union_product_tags(a: PartialDfa, b: PartialDfa) -> tuple[ProductTag, ...]:
-    """Pair origins of union_product states, index-aligned with its output."""
-    _check_same_alphabet(a, b)
-    na, nb = a.state_count, b.state_count
-    pa, _ = _padded_size(a)
-    pb, _ = _padded_size(b)
-    return tuple(
-        ProductTag(p if p < na else None, q if q < nb else None)
-        for p in range(pa)
-        for q in range(pb)
-    )
-
-
-def predicted_union_symbol_count(t1: int, t2: int, q1: int, q2: int) -> int:
-    """Defined moves per symbol in the union product of two *incomplete* DFAs.
-
-    ``ti`` = defined moves on the symbol, ``qi`` = state count, in
-    component i.  Exact only when both components carry a dead slot
-    (i.e. both are incomplete); a complete component has no dead column
-    for the other side's undefined moves to land in, and the product
-    then has fewer defined moves than this predicts.
-    """
-    for t, q, side in ((t1, q1, 1), (t2, q2, 2)):
-        if q < 1:
-            raise ValueError(f"component {side}: state count must be at least 1")
-        if not 0 <= t <= q:
-            raise ValueError(f"component {side}: per-symbol count {t} outside 0..{q}")
-    return t1 * t2 + t1 + t2 + t1 * (q2 - t2) + t2 * (q1 - t1)
-
-
 def intersection_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
     """Plain cross product recognizing L(a) & L(b); no padding needed.
 
     A pair's move is defined iff both components' moves are, so the
     product's per-symbol transition count is exactly the product of the
-    components' counts -- always, unlike the union prediction.
+    components' counts -- always, unlike the union's (see
+    ``bounds.union_symbol_upper``).
     """
     _check_same_alphabet(a, b)
     nb = b.state_count

@@ -1,9 +1,9 @@
 """Closed-form bound evaluators and the measurement harness.
 
-Each check constructs witness DFAs (or draws seeded random ones),
-builds the Boolean-operation result, measures real complexities via
-minimization, evaluates the closed-form bound, and classifies the
-outcome:
+Each check is one row of a claim table run by ``check_bound``: it
+constructs witness DFAs (or draws seeded random ones), builds the
+Boolean-operation result, measures real complexities via minimization,
+evaluates the closed-form bound, and classifies the outcome:
 
 * ``EQUAL`` -- measured value matches the formula exactly;
 * ``WITHIN_BOUND`` -- measured value is under an upper bound (or, for
@@ -20,13 +20,15 @@ law).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .boolean import complement, intersection_product, predicted_union_symbol_count, union_product
+from .boolean import complement, intersection_product, union_product
 from .core import Alphabet, PartialDfa, is_connected, render_dfa, transition_counts
 from .minimize import canonicalize, complexity, minimize
 from .oracle import brute_min_transitions
@@ -54,6 +56,12 @@ _AB = Alphabet(("a", "b"))
 def union_symbol_upper(tb1: int, tb2: int, s1: int, s2: int) -> int:
     """Per-symbol union bound from the padded product construction.
 
+    ``tbi`` = defined moves on the symbol, ``si`` = state count, in
+    component i.  It is also the exact count of the constructed product
+    when both components are incomplete; a complete component has no
+    dead slot for the other side's undefined moves to land in, and the
+    product then has fewer defined moves than this.
+
     Asserts the algebraic identity with the rearranged tight form
     tb1*s2 + tb2*s1 - tb1*tb2 + tb1 + tb2 on every evaluation.
     """
@@ -78,12 +86,8 @@ def union_total_upper(t1: int, t2: int) -> int:
 
 
 def union_total_lower(t1: int, t2: int) -> int:
-    """Worst-case lower bound on tc of a union: t1*t2 + t1 + t2 - 1."""
-    return t1 * t2 + t1 + t2 - 1
-
-
-def union_cycle_upper(t1: int, t2: int) -> int:
-    """Upper bound when all cycle-symbol moves are defined: t1*t2 + t1 + t2 - 1."""
+    """Worst-case lower bound on tc of a union: t1*t2 + t1 + t2 - 1; also
+    the upper bound when every cycle-symbol move is defined."""
     return t1 * t2 + t1 + t2 - 1
 
 
@@ -109,13 +113,9 @@ def unary_union_upper(t1: int, t2: int) -> int:
 
 
 def intersection_upper(t1: int, t2: int) -> int:
-    """Intersection bound t1*t2 (tight for coprime unary cycles)."""
+    """Intersection bound t1*t2 (tight for coprime unary cycles); per
+    symbol, the product construction meets it exactly."""
     return t1 * t2
-
-
-def intersection_symbol_upper(tb1: int, tb2: int) -> int:
-    """Per-symbol intersection bound tb1*tb2."""
-    return tb1 * tb2
 
 
 def complement_upper(sigma_size: int, t: int) -> int:
@@ -189,21 +189,19 @@ def render_report_line(report: BoundCheckReport) -> str:
 def render_report_table(reports: Sequence[BoundCheckReport]) -> str:
     """Aligned table plus one trailing note line per flagged check."""
     rows = [("BOUND", "PARAMS", "FORMULA", "MEASURED", "VERDICT")]
-    for r in reports:
-        rows.append(
-            (
-                r.bound_id.value,
-                " ".join(f"{k}={v}" for k, v in r.params.items()),
-                str(r.formula_value),
-                str(r.measured_value),
-                r.relation.value,
-            )
+    rows += [
+        (
+            r.bound_id.value,
+            " ".join(f"{k}={v}" for k, v in r.params.items()),
+            str(r.formula_value),
+            str(r.measured_value),
+            r.relation.value,
         )
+        for r in reports
+    ]
     widths = [max(len(row[i]) for row in rows) for i in range(5)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    counts = {rel: 0 for rel in Relation}
-    for r in reports:
-        counts[r.relation] += 1
+    counts = Counter(r.relation for r in reports)
     lines.append(
         f"{len(reports)} checks: {counts[Relation.EQUAL]} equal, "
         f"{counts[Relation.WITHIN_BOUND]} within bound, {counts[Relation.VIOLATION]} violations"
@@ -261,14 +259,50 @@ def sample_pairs(
     return pairs
 
 
-# --- check implementations --------------------------------------------------
+# --- the claim table --------------------------------------------------------
 
-def _require_coprime(n1: int, n2: int) -> None:
-    g = math.gcd(n1, n2)
-    if g != 1:
-        raise ValueError(
-            f"this tightness claim requires relatively prime cycle lengths; gcd({n1}, {n2}) = {g}"
-        )
+Outcome = tuple[int, int, Relation, str, Sequence[PartialDfa]]
+Default = int | Callable[[Mapping[str, int]], int] | None
+
+
+@dataclass(frozen=True)
+class _Claim:
+    """One row of the claim table: one per BoundId.
+
+    ``params`` are the parameters the claim takes, in report order with
+    their defaults: ``None`` makes one required, a callable computes it
+    from the parameters before it.  check_bound parses them and calls
+    ``body`` with them as keyword arguments; the body returns
+    (formula, measured, relation, note, machines to render).
+    """
+
+    params: tuple[tuple[str, Default], ...]
+    body: Callable[..., Outcome]
+    coprime: bool = False
+
+
+_CLAIMS: dict[BoundId, _Claim] = {}
+
+
+def _claim(bound_id: BoundId, *params: str | tuple[str, Default], coprime: bool = False):
+    """Register the decorated body as ``bound_id``'s row; a bare name is required."""
+
+    def register(body):
+        rows = tuple(p if isinstance(p, tuple) else (p, None) for p in params)
+        _CLAIMS[bound_id] = _Claim(rows, body, coprime)
+        return body
+
+    return register
+
+
+def _relation(measured: int, formula: int, tight: bool = True, failed: bool = False) -> Relation:
+    """EQUAL on a match; otherwise VIOLATION when a premise failed, the
+    claim is an equality (``tight``), or an upper bound is exceeded."""
+    if failed:
+        return Relation.VIOLATION
+    if measured == formula:
+        return Relation.EQUAL
+    return Relation.VIOLATION if tight or measured > formula else Relation.WITHIN_BOUND
 
 
 def _measured(dfa: PartialDfa) -> tuple[PartialDfa, int, dict[str, int]]:
@@ -277,244 +311,119 @@ def _measured(dfa: PartialDfa) -> tuple[PartialDfa, int, dict[str, int]]:
     return m, counts.total, dict(counts.per_symbol)
 
 
-def _tightness(measured: int, formula: int) -> Relation:
-    return Relation.EQUAL if measured == formula else Relation.VIOLATION
+def _symbol_witness_union(n1: int, n2: int, k1: int, k2: int) -> PartialDfa:
+    return union_product(
+        union_symbol_witness(n1, k1, alphabet=_BC), union_symbol_witness(n2, k2, alphabet=_BC)
+    )
 
 
-def _soundness(measured: int, formula: int) -> Relation:
-    if measured > formula:
-        return Relation.VIOLATION
-    return Relation.EQUAL if measured == formula else Relation.WITHIN_BOUND
-
-
-def _int_param(params: Mapping[str, int], name: str, default: int | None = None) -> int:
-    if name in params:
-        return int(params[name])
-    if default is None:
-        raise ValueError(f"missing required parameter {name!r}")
-    return default
-
-
-def _check_union_symbol_tight(params: Mapping[str, int]) -> BoundCheckReport:
-    n1 = _int_param(params, "n1")
-    n2 = _int_param(params, "n2")
-    k1 = _int_param(params, "k1", 1)
-    k2 = _int_param(params, "k2", 1)
-    _require_coprime(n1, n2)
-    c1 = union_symbol_witness(n1, k1, alphabet=_BC)
-    c2 = union_symbol_witness(n2, k2, alphabet=_BC)
-    m, _total, per = _measured(union_product(c1, c2))
+@_claim(BoundId.UNION_SYMBOL_TIGHT, "n1", "n2", ("k1", 1), ("k2", 1), coprime=True)
+def _union_symbol_tight(n1: int, n2: int, k1: int, k2: int) -> Outcome:
+    m, _total, per = _measured(_symbol_witness_union(n1, n2, k1, k2))
     formula = union_symbol_upper(k1, k2, n1, n2)
-    measured = per["b"]
-    return BoundCheckReport(
-        BoundId.UNION_SYMBOL_TIGHT,
-        {"n1": n1, "n2": n2, "k1": k1, "k2": k2},
-        formula,
-        measured,
-        _tightness(measured, formula),
-        details="\n" + render_dfa(m),
-    )
+    return formula, per["b"], _relation(per["b"], formula), "", (m,)
 
 
-def _check_union_symbol_max(params: Mapping[str, int]) -> BoundCheckReport:
-    n1 = _int_param(params, "n1")
-    n2 = _int_param(params, "n2")
-    _require_coprime(n1, n2)
-    inner = _check_union_symbol_tight({"n1": n1, "n2": n2, "k1": n1 - 1, "k2": n2 - 1})
+@_claim(BoundId.UNION_SYMBOL_MAX, "n1", "n2", coprime=True)
+def _union_symbol_max(n1: int, n2: int) -> Outcome:
+    inner, measured, _rel, _note, machines = _union_symbol_tight(n1, n2, n1 - 1, n2 - 1)
     formula = n1 * n2 + n1 + n2 - 3
-    assert formula == inner.formula_value  # maximal-k instance of the tight form
-    return BoundCheckReport(
-        BoundId.UNION_SYMBOL_MAX,
-        {"n1": n1, "n2": n2},
-        formula,
-        inner.measured_value,
-        _tightness(inner.measured_value, formula),
-        details=inner.details,
-    )
+    assert formula == inner  # maximal-k instance of the tight form
+    return formula, measured, _relation(measured, formula), "", machines
 
 
-def _check_union_multi_tight(params: Mapping[str, int]) -> BoundCheckReport:
-    n1 = _int_param(params, "n1")
-    n2 = _int_param(params, "n2")
-    ka1 = _int_param(params, "ka1", 1)
-    kb1 = _int_param(params, "kb1", max(1, n1 - 1))
-    ka2 = _int_param(params, "ka2", 1)
-    kb2 = _int_param(params, "kb2", max(1, n2 - 1))
-    _require_coprime(n1, n2)
+@_claim(BoundId.UNION_MULTI_TIGHT, "n1", "n2", ("ka1", 1), ("kb1", lambda p: max(1, p["n1"] - 1)),
+        ("ka2", 1), ("kb2", lambda p: max(1, p["n2"] - 1)), coprime=True)
+def _union_multi_tight(n1: int, n2: int, ka1: int, kb1: int, ka2: int, kb2: int) -> Outcome:
     w1 = union_multi_witness(n1, {"a": ka1, "b": kb1}, alphabet=_ABC)
     w2 = union_multi_witness(n2, {"a": ka2, "b": kb2}, alphabet=_ABC)
     m, _total, per = _measured(union_product(w1, w2))
-    expected = {
-        "a": union_symbol_upper(ka1, ka2, n1, n2),
-        "b": union_symbol_upper(kb1, kb2, n1, n2),
-    }
+    expected = {"a": union_symbol_upper(ka1, ka2, n1, n2), "b": union_symbol_upper(kb1, kb2, n1, n2)}
     mismatches = [sym for sym in expected if per[sym] != expected[sym]]
     formula = sum(expected.values())
     measured = per["a"] + per["b"]
-    relation = Relation.EQUAL if not mismatches else Relation.VIOLATION
-    note = "" if not mismatches else f"per-symbol mismatch on {', '.join(mismatches)}"
-    return BoundCheckReport(
-        BoundId.UNION_MULTI_TIGHT,
-        {"n1": n1, "n2": n2, "ka1": ka1, "kb1": kb1, "ka2": ka2, "kb2": kb2},
-        formula,
-        measured,
-        relation,
-        details=note + "\n" + render_dfa(m),
-    )
+    note = f"per-symbol mismatch on {', '.join(mismatches)}" if mismatches else ""
+    return formula, measured, _relation(measured, formula, failed=bool(mismatches)), note, (m,)
 
 
-def _check_union_sc_tight(params: Mapping[str, int]) -> BoundCheckReport:
-    n1 = _int_param(params, "n1")
-    n2 = _int_param(params, "n2")
-    k1 = _int_param(params, "k1", 1)
-    k2 = _int_param(params, "k2", 1)
-    _require_coprime(n1, n2)
-    c1 = union_symbol_witness(n1, k1, alphabet=_BC)
-    c2 = union_symbol_witness(n2, k2, alphabet=_BC)
-    m = minimize(union_product(c1, c2))
+@_claim(BoundId.UNION_SC_TIGHT, "n1", "n2", ("k1", 1), ("k2", 1), coprime=True)
+def _union_sc_tight(n1: int, n2: int, k1: int, k2: int) -> Outcome:
+    m = minimize(_symbol_witness_union(n1, n2, k1, k2))
     formula = union_state_upper(n1, n2)
-    measured = m.state_count
-    return BoundCheckReport(
-        BoundId.UNION_SC_TIGHT,
-        {"n1": n1, "n2": n2, "k1": k1, "k2": k2},
-        formula,
-        measured,
-        _tightness(measured, formula),
-        details="\n" + render_dfa(m),
-    )
+    return formula, m.state_count, _relation(m.state_count, formula), "", (m,)
 
 
-def _union_total_pair(n1: int, n2: int) -> tuple[PartialDfa, PartialDfa]:
-    return (
-        union_total_witness(n1, "a", "c", alphabet=_ABC),
-        union_total_witness(n2, "b", "c", alphabet=_ABC),
-    )
-
-
-def _check_union_total_tight(params: Mapping[str, int]) -> BoundCheckReport:
-    n1 = _int_param(params, "n1")
-    n2 = _int_param(params, "n2")
-    _require_coprime(n1, n2)
-    w1, w2 = _union_total_pair(n1, n2)
+def _union_total_pair(n1: int, n2: int) -> tuple[int, int, PartialDfa, int]:
+    """tc of both minimal-total witnesses, and the minimized union with its tc."""
+    w1 = union_total_witness(n1, "a", "c", alphabet=_ABC)
+    w2 = union_total_witness(n2, "b", "c", alphabet=_ABC)
     t1 = complexity(w1).tc
     t2 = complexity(w2).tc
     m, measured, _per = _measured(union_product(w1, w2))
+    return t1, t2, m, measured
+
+
+@_claim(BoundId.UNION_TOTAL_TIGHT, "n1", "n2", coprime=True)
+def _union_total_tight(n1: int, n2: int) -> Outcome:
+    t1, t2, m, measured = _union_total_pair(n1, n2)
     formula = union_total_lower(t1, t2)
-    relation = _tightness(measured, formula)
-    note = ""
-    if (t1, t2) != (n1 + 1, n2 + 1):
-        relation = Relation.VIOLATION
-        note = f"witness premise failed: tc inputs ({t1}, {t2}) != ({n1 + 1}, {n2 + 1})"
-    return BoundCheckReport(
-        BoundId.UNION_TOTAL_TIGHT,
-        {"n1": n1, "n2": n2},
-        formula,
-        measured,
-        relation,
-        details=note + "\n" + render_dfa(m),
-    )
+    premise = (t1, t2) == (n1 + 1, n2 + 1)
+    note = "" if premise else f"witness premise failed: tc inputs ({t1}, {t2}) != ({n1 + 1}, {n2 + 1})"
+    return formula, measured, _relation(measured, formula, failed=not premise), note, (m,)
 
 
-def _check_union_cycle_upper(params: Mapping[str, int]) -> BoundCheckReport:
-    n1 = _int_param(params, "n1")
-    n2 = _int_param(params, "n2")
-    w1, w2 = _union_total_pair(n1, n2)
-    t1 = complexity(w1).tc
-    t2 = complexity(w2).tc
-    m, measured, _per = _measured(union_product(w1, w2))
-    formula = union_cycle_upper(t1, t2)
-    relation = _soundness(measured, formula)
+@_claim(BoundId.UNION_CYCLE_UPPER, "n1", "n2")
+def _union_cycle_upper(n1: int, n2: int) -> Outcome:
+    t1, t2, m, measured = _union_total_pair(n1, n2)
+    formula = union_total_lower(t1, t2)
+    # an upper bound in general, claimed tight on coprime pairs
     coprime = math.gcd(n1, n2) == 1
-    note = ""
-    if coprime and relation is not Relation.EQUAL:
-        relation = Relation.VIOLATION
-        note = "coprime pair did not reach the bound claimed tight"
-    return BoundCheckReport(
-        BoundId.UNION_CYCLE_UPPER,
-        {"n1": n1, "n2": n2},
-        formula,
-        measured,
-        relation,
-        details=note + "\n" + render_dfa(m),
-    )
+    note = "coprime pair did not reach the bound claimed tight" if coprime and measured != formula else ""
+    return formula, measured, _relation(measured, formula, tight=coprime), note, (m,)
 
 
-def _check_intersection_tight(params: Mapping[str, int]) -> BoundCheckReport:
-    n1 = _int_param(params, "n1")
-    n2 = _int_param(params, "n2")
-    _require_coprime(n1, n2)
-    w1 = unary_cycle(n1)
-    w2 = unary_cycle(n2)
-    m, measured, _per = _measured(intersection_product(w1, w2))
+@_claim(BoundId.INTERSECTION_TIGHT, "n1", "n2", coprime=True)
+def _intersection_tight(n1: int, n2: int) -> Outcome:
+    m, measured, _per = _measured(intersection_product(unary_cycle(n1), unary_cycle(n2)))
     formula = intersection_upper(n1, n2)
-    return BoundCheckReport(
-        BoundId.INTERSECTION_TIGHT,
-        {"n1": n1, "n2": n2},
-        formula,
-        measured,
-        _tightness(measured, formula),
-        details="\n" + render_dfa(m),
-    )
+    return formula, measured, _relation(measured, formula), "", (m,)
 
 
-def _check_complement_tight(params: Mapping[str, int]) -> BoundCheckReport:
-    n = _int_param(params, "n")
-    sigma = _int_param(params, "sigma", 2)
+@_claim(BoundId.COMPLEMENT_TIGHT, "n", ("sigma", 2))
+def _complement_tight(n: int, sigma: int) -> Outcome:
     if not 1 <= sigma <= 3:
         raise ValueError(f"sigma must be 1..3, got {sigma}")
-    alphabet = Alphabet("abc"[:sigma]) if sigma != 2 else _AB
-    w = unary_singleton(n, alphabet=alphabet)
+    w = unary_singleton(n, alphabet=Alphabet("abc"[:sigma]))
     t = complexity(w).tc
     m, measured, _per = _measured(complement(w))
     formula = complement_upper(sigma, t)
-    relation = _tightness(measured, formula)
-    note = ""
-    if t != n:
-        relation = Relation.VIOLATION
-        note = f"witness premise failed: tc of the singleton is {t}, expected {n}"
-    return BoundCheckReport(
-        BoundId.COMPLEMENT_TIGHT,
-        {"n": n, "sigma": sigma},
-        formula,
-        measured,
-        relation,
-        details=note + "\n" + render_dfa(m),
-    )
+    note = "" if t == n else f"witness premise failed: tc of the singleton is {t}, expected {n}"
+    return formula, measured, _relation(measured, formula, failed=t != n), note, (m,)
 
 
-def _check_unary_tight(params: Mapping[str, int]) -> BoundCheckReport:
-    n1 = _int_param(params, "n1")
-    n2 = _int_param(params, "n2")
+@_claim(BoundId.UNARY_TIGHT, "n1", "n2", coprime=True)
+def _unary_tight(n1: int, n2: int) -> Outcome:
     if n1 < 3 or n2 < 2:
         raise ValueError(
             f"the unary tightness claim is stated for n1 >= 3 and n2 >= 2, got ({n1}, {n2})"
         )
-    _require_coprime(n1, n2)
     w1 = unary_cycle(n1)
     w2 = unary_cycle(n2)
     t1 = complexity(w1).tc
     t2 = complexity(w2).tc
     m, measured, _per = _measured(union_product(w1, w2))
     formula = unary_union_upper(t1, t2)
-    return BoundCheckReport(
-        BoundId.UNARY_TIGHT,
-        {"n1": n1, "n2": n2},
-        formula,
-        measured,
-        _tightness(measured, formula),
-        details="\n" + render_dfa(m),
-    )
+    return formula, measured, _relation(measured, formula), "", (m,)
 
 
-def _check_unary_exception(params: Mapping[str, int]) -> BoundCheckReport:
-    n = _int_param(params, "n")
+@_claim(BoundId.UNARY_EXCEPTION, "n")
+def _unary_exception(n: int) -> Outcome:
     if n < 2:
         raise ValueError(f"the exception probe needs n >= 2, got {n}")
-    w1 = unary_singleton(1)
-    w2 = unary_cycle(n)
-    m, measured, _per = _measured(union_product(w1, w2))
+    m, measured, _per = _measured(union_product(unary_singleton(1), unary_cycle(n)))
     oracle = brute_min_transitions(m)
     reference = n + 1
+    # not an upper bound: exceeding n is the claim, missing n+1 is only flagged
     if oracle.min_total != measured:
         relation = Relation.VIOLATION
         note = f"minimizer ({measured}) and brute-force oracle ({oracle.min_total}) disagree"
@@ -531,242 +440,172 @@ def _check_unary_exception(params: Mapping[str, int]) -> BoundCheckReport:
             f"reference value n+1 = {reference}; it does exceed the product bound {n} "
             "as claimed -- flagged, not failed"
         )
-    return BoundCheckReport(
-        BoundId.UNARY_EXCEPTION,
-        {"n": n},
-        reference,
-        measured,
-        relation,
-        details=note + "\n" + render_dfa(m),
-    )
+    return reference, measured, relation, note, (m,)
 
 
-def _check_conjecture_small(params: Mapping[str, int]) -> BoundCheckReport:
-    m_par = _int_param(params, "m")
-    if m_par < 1:
-        raise ValueError(f"need m >= 1, got {m_par}")
+@_claim(BoundId.CONJECTURE_SMALL, "m")
+def _conjecture_small(m: int) -> Outcome:
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     eps = epsilon_lang(alphabet=_AB)
-    chain = chain_star_witness(m_par, alphabet=_AB)
+    chain = chain_star_witness(m, alphabet=_AB)
     t_eps = complexity(eps).tc
     t_chain = complexity(chain).tc
     mdfa, measured, _per = _measured(union_product(eps, chain))
-    expected = m_par + 2 if m_par >= 2 else 1  # m = 1: a* union {eps} is just a*
+    expected = m + 2 if m >= 2 else 1  # m = 1: a* union {eps} is just a*
     conjectured = conjecture_bound(t_eps, t_chain)
-    ok = t_eps == 0 and t_chain == m_par and measured == expected
-    if not ok:
-        relation = Relation.VIOLATION
-        note = (
-            f"expected trio (0, {m_par}, {expected}), "
-            f"measured ({t_eps}, {t_chain}, {measured})"
-        )
-    else:
-        relation = Relation.EQUAL
+    premise = t_eps == 0 and t_chain == m
+    if not premise or measured != expected:
+        note = f"expected trio (0, {m}, {expected}), measured ({t_eps}, {t_chain}, {measured})"
+    elif measured > conjectured:
         note = (
             f"counterexample holds: measured {measured} exceeds the conjectured "
             f"bound {conjectured}, whose applicability needs tc >= 2 on both sides"
-            if measured > conjectured
-            else f"conjectured bound {conjectured} not exceeded at m={m_par}"
         )
-    return BoundCheckReport(
-        BoundId.CONJECTURE_SMALL,
-        {"m": m_par},
-        expected,
-        measured,
-        relation,
-        details=note + "\n" + render_dfa(mdfa),
-    )
+    else:
+        note = f"conjectured bound {conjectured} not exceeded at m={m}"
+    return expected, measured, _relation(measured, expected, failed=not premise), note, (mdfa,)
 
 
-def _suite_params(params: Mapping[str, int]) -> tuple[int, int, int]:
-    pairs = _int_param(params, "pairs", DEFAULT_PAIRS)
-    seed = _int_param(params, "seed", DEFAULT_SEED)
-    max_states = _int_param(params, "max_states", DEFAULT_MAX_STATES)
-    if pairs < 1:
-        raise ValueError(f"need at least one pair, got {pairs}")
-    return pairs, seed, max_states
+# --- seeded random suites ---------------------------------------------------
+
+_SUITE_PARAMS = (("pairs", DEFAULT_PAIRS), ("seed", DEFAULT_SEED), ("max_states", DEFAULT_MAX_STATES))
 
 
 def _random_suite(
-    bound_id: BoundId,
-    params: Mapping[str, int],
-    per_pair,  # (a, b) -> (measured, formula, mismatch: bool)
-    require_incomplete: bool = False,
-) -> BoundCheckReport:
+    pairs: int, seed: int, max_states: int, per_pair: Callable, require_incomplete: bool
+) -> Outcome:
     """Shared driver for the 200-pair soundness/exactness suites.
 
     The reported formula/measured values belong to the worst pair
-    (largest measured - formula margin); the details line carries the
-    violation count and that pair's renderings.
+    (largest measured - formula margin, the first one on a tie); the
+    note carries the violation count, and that pair is rendered.
     """
-    pairs, seed, max_states = _suite_params(params)
+    if pairs < 1:
+        raise ValueError(f"need at least one pair, got {pairs}")
     sample = sample_pairs(seed, pairs, max_states, require_incomplete)
-    worst: tuple[int, int, int] | None = None  # (margin, measured, formula)
-    worst_pair = sample[0]
+    worst: tuple[int, int, int, tuple[PartialDfa, PartialDfa]] | None = None
     violations = 0
     for a, b in sample:
         measured, formula, bad = per_pair(a, b)
-        if bad:
-            violations += 1
-        margin = measured - formula
-        if worst is None or margin > worst[0]:
-            worst = (margin, measured, formula)
-            worst_pair = (a, b)
+        violations += bad
+        if worst is None or measured - formula > worst[0]:
+            worst = (measured - formula, measured, formula, (a, b))
     assert worst is not None
-    _margin, measured, formula = worst
-    if violations:
-        relation = Relation.VIOLATION
-    else:
-        relation = Relation.EQUAL if measured == formula else Relation.WITHIN_BOUND
+    _margin, measured, formula, worst_pair = worst
     note = f"pairs={pairs} violations={violations}; values are the worst pair's"
-    details = note + "\n" + render_dfa(worst_pair[0]) + render_dfa(worst_pair[1])
-    return BoundCheckReport(
-        bound_id,
-        {"pairs": pairs, "seed": seed, "max_states": max_states},
-        formula,
-        measured,
-        relation,
-        details=details,
+    relation = _relation(measured, formula, tight=False, failed=violations > 0)
+    return formula, measured, relation, note, worst_pair
+
+
+def _suite(bound_id: BoundId, per_pair: Callable, require_incomplete: bool = False) -> None:
+    """Register a random suite's row; ``per_pair(a, b)`` gives (measured, formula, bad)."""
+    _claim(bound_id, *_SUITE_PARAMS)(
+        lambda **p: _random_suite(**p, per_pair=per_pair, require_incomplete=require_incomplete)
     )
 
 
-def _check_union_total_upper(params: Mapping[str, int]) -> BoundCheckReport:
-    def per_pair(a: PartialDfa, b: PartialDfa):
-        t1 = complexity(a).tc
-        t2 = complexity(b).tc
-        measured = complexity(union_product(a, b)).tc
-        formula = union_total_upper(t1, t2)
-        return measured, formula, measured > formula
-
-    return _random_suite(BoundId.UNION_TOTAL_UPPER, params, per_pair)
+def _language_counts(dfa: PartialDfa) -> tuple[Mapping[str, int], int]:
+    report = complexity(dfa)
+    return report.tc_per_symbol, report.sc
 
 
-def _check_union_symbol_sound(params: Mapping[str, int]) -> BoundCheckReport:
-    def per_pair(a: PartialDfa, b: PartialDfa):
-        ra = complexity(a)
-        rb = complexity(b)
-        ru = complexity(union_product(a, b))
-        measured = formula = 0
-        bad = False
-        for sym in a.alphabet:
-            bound = union_symbol_upper(
-                ra.tc_per_symbol[sym], rb.tc_per_symbol[sym], ra.sc, rb.sc
-            )
-            got = ru.tc_per_symbol[sym]
-            measured += got
-            formula += bound
-            bad = bad or got > bound
-        return measured, formula, bad
-
-    return _random_suite(BoundId.UNION_SYMBOL_SOUND, params, per_pair)
+def _construction_counts(dfa: PartialDfa) -> tuple[Mapping[str, int], int]:
+    return transition_counts(dfa).per_symbol, dfa.state_count
 
 
-def _check_union_construction_exact(params: Mapping[str, int]) -> BoundCheckReport:
-    def per_pair(a: PartialDfa, b: PartialDfa):
-        ca = transition_counts(a)
-        cb = transition_counts(b)
-        cu = transition_counts(union_product(a, b))
-        measured = formula = 0
-        bad = False
-        for sym in a.alphabet:
-            predicted = predicted_union_symbol_count(
-                ca.per_symbol[sym], cb.per_symbol[sym], a.state_count, b.state_count
-            )
-            got = cu.per_symbol[sym]
-            measured += got
-            formula += predicted
-            bad = bad or got != predicted
-        return measured, formula, bad
+def _per_symbol(measure, bound, exact: bool, a: PartialDfa, b: PartialDfa, result: PartialDfa):
+    """Compare ``result`` with ``bound`` symbol by symbol, summed over the alphabet.
 
-    # exactness of the prediction needs the dead slot on both sides
-    return _random_suite(
-        BoundId.UNION_CONSTRUCTION_EXACT, params, per_pair, require_incomplete=True
+    ``measure`` gives a DFA's per-symbol counts and its size; ``bound``
+    takes both operands' counts on one symbol and both sizes.  A pair is
+    bad when a symbol exceeds its bound or, if ``exact``, misses it.
+    """
+    (ta, sa), (tb, sb) = measure(a), measure(b)
+    got = measure(result)[0]
+    values = [(got[sym], bound(ta[sym], tb[sym], sa, sb)) for sym in a.alphabet]
+    bad = any(g != v if exact else g > v for g, v in values)
+    return sum(g for g, _v in values), sum(v for _g, v in values), bad
+
+
+def _union_total_upper_pair(a: PartialDfa, b: PartialDfa) -> tuple[int, int, bool]:
+    formula = union_total_upper(complexity(a).tc, complexity(b).tc)
+    measured = complexity(union_product(a, b)).tc
+    return measured, formula, measured > formula
+
+
+def _intersection_upper_pair(a: PartialDfa, b: PartialDfa) -> tuple[int, int, bool]:
+    ra = complexity(a)
+    rb = complexity(b)
+    measured = complexity(intersection_product(a, b)).tc
+    symbol_sum = sum(
+        intersection_upper(ra.tc_per_symbol[sym], rb.tc_per_symbol[sym]) for sym in a.alphabet
     )
+    formula = intersection_upper(ra.tc, rb.tc)
+    # two layers: tc <= sum of per-symbol products <= t1*t2
+    return measured, formula, measured > symbol_sum or symbol_sum > formula
 
 
-def _check_intersection_construction_exact(params: Mapping[str, int]) -> BoundCheckReport:
-    def per_pair(a: PartialDfa, b: PartialDfa):
-        ca = transition_counts(a)
-        cb = transition_counts(b)
-        ci = transition_counts(intersection_product(a, b))
-        measured = formula = 0
-        bad = False
-        for sym in a.alphabet:
-            predicted = intersection_symbol_upper(ca.per_symbol[sym], cb.per_symbol[sym])
-            got = ci.per_symbol[sym]
-            measured += got
-            formula += predicted
-            bad = bad or got != predicted
-        return measured, formula, bad
-
-    return _random_suite(BoundId.INTERSECTION_CONSTRUCTION_EXACT, params, per_pair)
+def _complement_upper_pair(a: PartialDfa, _b: PartialDfa) -> tuple[int, int, bool]:
+    formula = complement_upper(len(a.alphabet), complexity(a).tc)
+    measured = complexity(complement(a)).tc
+    return measured, formula, measured > formula
 
 
-def _check_intersection_upper(params: Mapping[str, int]) -> BoundCheckReport:
-    def per_pair(a: PartialDfa, b: PartialDfa):
-        ra = complexity(a)
-        rb = complexity(b)
-        measured = complexity(intersection_product(a, b)).tc
-        symbol_sum = sum(
-            intersection_symbol_upper(ra.tc_per_symbol[sym], rb.tc_per_symbol[sym])
-            for sym in a.alphabet
-        )
-        formula = intersection_upper(ra.tc, rb.tc)
-        # two layers: tc <= sum of per-symbol products <= t1*t2
-        bad = measured > symbol_sum or symbol_sum > formula
-        return measured, formula, bad
-
-    return _random_suite(BoundId.INTERSECTION_UPPER, params, per_pair)
+_suite(BoundId.UNION_TOTAL_UPPER, _union_total_upper_pair)
+_suite(BoundId.UNION_SYMBOL_SOUND, lambda a, b: _per_symbol(
+    _language_counts, union_symbol_upper, False, a, b, union_product(a, b)))
+# the union construction's count is exact only with a dead slot on both sides
+_suite(BoundId.UNION_CONSTRUCTION_EXACT, lambda a, b: _per_symbol(
+    _construction_counts, union_symbol_upper, True, a, b, union_product(a, b)), require_incomplete=True)
+_suite(BoundId.INTERSECTION_UPPER, _intersection_upper_pair)
+_suite(BoundId.INTERSECTION_CONSTRUCTION_EXACT, lambda a, b: _per_symbol(
+    _construction_counts, lambda t1, t2, *_sizes: intersection_upper(t1, t2),
+    True, a, b, intersection_product(a, b)))
+_suite(BoundId.COMPLEMENT_UPPER, _complement_upper_pair)
 
 
-def _check_complement_upper(params: Mapping[str, int]) -> BoundCheckReport:
-    def per_pair(a: PartialDfa, _b: PartialDfa):
-        t = complexity(a).tc
-        measured = complexity(complement(a)).tc
-        formula = complement_upper(len(a.alphabet), t)
-        return measured, formula, measured > formula
-
-    return _random_suite(BoundId.COMPLEMENT_UPPER, params, per_pair)
-
-
-_CHECKS = {
-    BoundId.UNION_SYMBOL_TIGHT: _check_union_symbol_tight,
-    BoundId.UNION_SYMBOL_MAX: _check_union_symbol_max,
-    BoundId.UNION_MULTI_TIGHT: _check_union_multi_tight,
-    BoundId.UNION_SC_TIGHT: _check_union_sc_tight,
-    BoundId.UNION_TOTAL_TIGHT: _check_union_total_tight,
-    BoundId.UNION_CYCLE_UPPER: _check_union_cycle_upper,
-    BoundId.UNION_TOTAL_UPPER: _check_union_total_upper,
-    BoundId.UNION_SYMBOL_SOUND: _check_union_symbol_sound,
-    BoundId.UNION_CONSTRUCTION_EXACT: _check_union_construction_exact,
-    BoundId.INTERSECTION_TIGHT: _check_intersection_tight,
-    BoundId.INTERSECTION_UPPER: _check_intersection_upper,
-    BoundId.INTERSECTION_CONSTRUCTION_EXACT: _check_intersection_construction_exact,
-    BoundId.COMPLEMENT_TIGHT: _check_complement_tight,
-    BoundId.COMPLEMENT_UPPER: _check_complement_upper,
-    BoundId.UNARY_TIGHT: _check_unary_tight,
-    BoundId.UNARY_EXCEPTION: _check_unary_exception,
-    BoundId.CONJECTURE_SMALL: _check_conjecture_small,
-}
+# every parameter some check takes, in first-use order (the CLI's flags)
+CHECK_PARAMS = tuple(dict.fromkeys(name for claim in _CLAIMS.values() for name, _ in claim.params))
 
 
 def check_bound(bound_id: BoundId | str, params: Mapping[str, int] | None = None) -> BoundCheckReport:
-    """Run one bound check; see the module docstring for verdict semantics."""
+    """Run one bound check; see the module docstring for verdict semantics.
+
+    Raises ValueError for an unknown bound, a parameter the check does
+    not take, a missing required one, or non-coprime n1, n2 where the
+    claim needs them coprime.
+    """
     if isinstance(bound_id, str):
         try:
             bound_id = BoundId(bound_id)
         except ValueError:
             known = ", ".join(b.value for b in BoundId)
             raise ValueError(f"unknown bound {bound_id!r}; known bounds: {known}") from None
-    return _CHECKS[bound_id](params or {})
-
-
-def _coprime_pairs(max_n: int) -> list[tuple[int, int]]:
-    return [
-        (n1, n2)
-        for n1 in range(2, max_n + 1)
-        for n2 in range(n1 + 1, max_n + 1)
-        if math.gcd(n1, n2) == 1
-    ]
+    claim = _CLAIMS[bound_id]
+    given = dict(params or {})
+    names = [name for name, _default in claim.params]
+    unknown = [name for name in given if name not in names]
+    if unknown:
+        raise ValueError(
+            f"{bound_id.value} does not take {', '.join(unknown)}; it takes {', '.join(names)}"
+        )
+    p: dict[str, int] = {}
+    for name, default in claim.params:
+        if name in given:
+            p[name] = int(given[name])
+        elif default is None:
+            raise ValueError(f"missing required parameter {name!r}")
+        else:
+            p[name] = default(p) if callable(default) else default
+    g = math.gcd(p["n1"], p["n2"]) if claim.coprime else 1
+    if g != 1:
+        raise ValueError(
+            f"this tightness claim requires relatively prime cycle lengths; gcd({p['n1']}, {p['n2']}) = {g}"
+        )
+    formula, measured, relation, note, machines = claim.body(**p)
+    details = note + "\n" + "".join(render_dfa(m) for m in machines)
+    return BoundCheckReport(bound_id, p, formula, measured, relation, details=details)
 
 
 def run_suite(
@@ -775,42 +614,26 @@ def run_suite(
     """The whole tightness + soundness suite, in deterministic order."""
     if max_n < 3:
         raise ValueError(f"need max_n >= 3 to instantiate the tight families, got {max_n}")
-    reports: list[BoundCheckReport] = []
-    grid = _coprime_pairs(max_n)
-    for n1, n2 in grid:
-        for k1 in range(1, n1):
-            for k2 in range(1, n2):
-                reports.append(
-                    check_bound(BoundId.UNION_SYMBOL_TIGHT, {"n1": n1, "n2": n2, "k1": k1, "k2": k2})
-                )
-    for n1, n2 in grid:
-        reports.append(check_bound(BoundId.UNION_SYMBOL_MAX, {"n1": n1, "n2": n2}))
-        reports.append(check_bound(BoundId.UNION_MULTI_TIGHT, {"n1": n1, "n2": n2}))
-        reports.append(check_bound(BoundId.UNION_SC_TIGHT, {"n1": n1, "n2": n2}))
-        reports.append(check_bound(BoundId.UNION_TOTAL_TIGHT, {"n1": n1, "n2": n2}))
-        reports.append(check_bound(BoundId.INTERSECTION_TIGHT, {"n1": n1, "n2": n2}))
-    for n1 in range(2, max_n + 1):
-        for n2 in range(n1, max_n + 1):
-            reports.append(check_bound(BoundId.UNION_CYCLE_UPPER, {"n1": n1, "n2": n2}))
-    for n1 in range(3, max_n + 1):
-        for n2 in range(2, max_n + 1):
-            if n2 != n1 and math.gcd(n1, n2) == 1:
-                reports.append(check_bound(BoundId.UNARY_TIGHT, {"n1": n1, "n2": n2}))
-    for n in (2, 3):
-        reports.append(check_bound(BoundId.UNARY_EXCEPTION, {"n": n}))
-    for n in range(1, max_n + 1):
-        reports.append(check_bound(BoundId.COMPLEMENT_TIGHT, {"n": n}))
-    for m in (1, 2, 3):
-        reports.append(check_bound(BoundId.CONJECTURE_SMALL, {"m": m}))
-    suite_params = {"pairs": pairs, "seed": seed}
-    for bound_id in (
-        BoundId.UNION_TOTAL_UPPER,
-        BoundId.UNION_SYMBOL_SOUND,
-        BoundId.UNION_CONSTRUCTION_EXACT,
-        BoundId.INTERSECTION_UPPER,
-        BoundId.INTERSECTION_CONSTRUCTION_EXACT,
-        BoundId.COMPLEMENT_UPPER,
-    ):
-        reports.append(check_bound(bound_id, suite_params))
+    B = BoundId
+    sizes = range(2, max_n + 1)
+    grid = [(n1, n2) for n1 in sizes for n2 in sizes if n1 < n2 and math.gcd(n1, n2) == 1]
+    # generated lazily: each report keeps its own copy of the parameters
+    plan = itertools.chain(
+        ((B.UNION_SYMBOL_TIGHT, {"n1": n1, "n2": n2, "k1": k1, "k2": k2})
+         for n1, n2 in grid for k1 in range(1, n1) for k2 in range(1, n2)),
+        ((bound_id, {"n1": n1, "n2": n2}) for n1, n2 in grid for bound_id in (
+            B.UNION_SYMBOL_MAX, B.UNION_MULTI_TIGHT, B.UNION_SC_TIGHT, B.UNION_TOTAL_TIGHT,
+            B.INTERSECTION_TIGHT)),
+        ((B.UNION_CYCLE_UPPER, {"n1": n1, "n2": n2}) for n1 in sizes for n2 in sizes if n1 <= n2),
+        ((B.UNARY_TIGHT, {"n1": n1, "n2": n2})
+         for n1 in sizes for n2 in sizes if n1 >= 3 and n2 != n1 and math.gcd(n1, n2) == 1),
+        ((B.UNARY_EXCEPTION, {"n": n}) for n in (2, 3)),
+        ((B.COMPLEMENT_TIGHT, {"n": n}) for n in range(1, max_n + 1)),
+        ((B.CONJECTURE_SMALL, {"m": m}) for m in (1, 2, 3)),
+        ((bound_id, {"pairs": pairs, "seed": seed}) for bound_id in (
+            B.UNION_TOTAL_UPPER, B.UNION_SYMBOL_SOUND, B.UNION_CONSTRUCTION_EXACT,
+            B.INTERSECTION_UPPER, B.INTERSECTION_CONSTRUCTION_EXACT, B.COMPLEMENT_UPPER)),
+    )
+    reports = [check_bound(bound_id, params) for bound_id, params in plan]
     reports.sort(key=lambda r: (r.bound_id.value, tuple(sorted(r.params.items()))))
     return reports

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 validation failure (inequivalence, failed
-oracle verification); 2 parse/usage error; 3 a bound check reported a
-VIOLATION.  All output is deterministic for identical invocations.
+oracle verification); 2 parse/usage error, including a flag the command
+does not take and an output file that cannot be written; 3 a bound check
+reported a VIOLATION.  All output is deterministic for identical invocations.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import Sequence
 
 from .boolean import complement, intersection_product, union_product
 from .bounds import (
-    DEFAULT_PAIRS,
-    DEFAULT_SEED,
+    CHECK_PARAMS,
     Relation,
     check_bound,
     render_report_line,
@@ -38,7 +38,14 @@ def _load(path: str) -> PartialDfa:
 
 def _write(path: str | None, text: str) -> None:
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from None
+
+
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
 def _counts_line(label: str, dfa: PartialDfa) -> str:
@@ -76,38 +83,44 @@ def cmd_op(args: argparse.Namespace) -> int:
     return 0
 
 
+# flags each witness family takes: (required, optional); the rest are rejected
+_WITNESS_FLAGS = {
+    WitnessFamily.UNION_SYMBOL: (("n", "k"), ("b", "c", "alphabet")),
+    WitnessFamily.UNION_MULTI: (("n",), ("loop", "c", "alphabet")),
+    WitnessFamily.UNION_TOTAL: (("n",), ("loop_sym", "cycle_sym", "alphabet")),
+    WitnessFamily.UNARY_CYCLE: (("n",), ()),  # fixed unary alphabet
+    WitnessFamily.UNARY_SINGLETON: (("n",), ("alphabet",)),
+    WitnessFamily.CHAIN_STAR: (("m",), ("alphabet",)),
+    WitnessFamily.EPSILON: ((), ("alphabet",)),
+}
+_WITNESS_PARAMS = tuple(
+    dict.fromkeys(name for flags in _WITNESS_FLAGS.values() for group in flags for name in group)
+)
+
+
 def _witness_spec(args: argparse.Namespace) -> WitnessSpec:
+    """The family's parameters from the flags given; defaults are the constructors'."""
     family = WitnessFamily(args.family)
-    alphabet = Alphabet(tuple(args.alphabet)) if args.alphabet else None
-    params: dict = {}
-
-    def need(flag: str, value):
-        if value is None:
-            raise ValueError(f"witness family {family.value!r} requires --{flag}")
-        return value
-
-    if family is WitnessFamily.UNION_SYMBOL:
-        params = {"n": need("n", args.n), "k": need("k", args.k), "b": args.b, "c": args.c}
-    elif family is WitnessFamily.UNION_MULTI:
+    required, optional = _WITNESS_FLAGS[family]
+    params = {
+        name: getattr(args, name) for name in _WITNESS_PARAMS if getattr(args, name) is not None
+    }
+    stray = [name for name in params if name not in required + optional]
+    if stray:
+        raise ValueError(f"witness family {family.value!r} does not take {_flags(stray)}")
+    for name in required:
+        if name not in params:
+            raise ValueError(f"witness family {family.value!r} requires --{name}")
+    if "alphabet" in params:
+        params["alphabet"] = Alphabet(tuple(params["alphabet"]))
+    if family is WitnessFamily.UNION_MULTI:
         k_map = {}
-        for item in args.loop or []:
+        for item in params.pop("loop", []):
             sym, _, count = item.partition("=")
             if not count or len(sym) != 1:
                 raise ValueError(f"--loop expects SYMBOL=COUNT, got {item!r}")
             k_map[sym] = int(count)
-        params = {"n": need("n", args.n), "k_map": k_map, "c": args.c}
-    elif family is WitnessFamily.UNION_TOTAL:
-        params = {"n": need("n", args.n), "loop_sym": args.loop_sym, "cycle_sym": args.cycle_sym}
-    elif family is WitnessFamily.UNARY_CYCLE:
-        return WitnessSpec(family, {"n": need("n", args.n)})  # fixed unary alphabet
-    elif family is WitnessFamily.UNARY_SINGLETON:
-        params = {"n": need("n", args.n)}
-    elif family is WitnessFamily.CHAIN_STAR:
-        params = {"m": need("m", args.m)}
-    else:  # EPSILON
-        params = {}
-    if alphabet is not None:
-        params["alphabet"] = alphabet
+        params["k_map"] = k_map
     return WitnessSpec(family, params)
 
 
@@ -122,24 +135,22 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-_CHECK_PARAM_FLAGS = (
-    "n1", "n2", "k1", "k2", "ka1", "kb1", "ka2", "kb2",
-    "n", "m", "sigma", "pairs", "seed", "max_states",
-)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
+    # only the flags given: a check's own defaults come from its row in the claim table
+    given = {
+        name: getattr(args, name)
+        for name in ("max_n", *CHECK_PARAMS)
+        if getattr(args, name) is not None
+    }
     if args.all:
-        reports = run_suite(max_n=args.max_n, seed=args.seed, pairs=args.pairs)
+        stray = [name for name in given if name not in ("max_n", "seed", "pairs")]
+        if stray:
+            raise ValueError(f"--all takes only --max-n, --seed and --pairs, not {_flags(stray)}")
+        reports = run_suite(**given)
     else:
         if not args.bound:
             raise ValueError("pass a bound id or --all")
-        params = {
-            flag: getattr(args, flag)
-            for flag in _CHECK_PARAM_FLAGS
-            if getattr(args, flag) is not None
-        }
-        reports = [check_bound(args.bound, params)]
+        reports = [check_bound(args.bound, given)]
     if args.format == "lines":
         for report in reports:
             print(render_report_line(report))
@@ -210,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("--n", type=int)
     p_wit.add_argument("--k", type=int)
     p_wit.add_argument("--m", type=int)
-    p_wit.add_argument("--b", default="b", help="self-loop symbol (union-symbol)")
-    p_wit.add_argument("--c", default="c", help="cycle symbol")
+    p_wit.add_argument("--b", help="self-loop symbol (union-symbol)")
+    p_wit.add_argument("--c", help="cycle symbol")
     p_wit.add_argument("--loop", action="append", metavar="SYM=K", help="union-multi loop counts")
-    p_wit.add_argument("--loop-sym", dest="loop_sym", default="a")
-    p_wit.add_argument("--cycle-sym", dest="cycle_sym", default="c")
+    p_wit.add_argument("--loop-sym", dest="loop_sym")
+    p_wit.add_argument("--cycle-sym", dest="cycle_sym")
     p_wit.add_argument("--alphabet", help="symbols in order, e.g. 'abc'")
     p_wit.add_argument("--out", help="write the witness here instead of stdout")
     p_wit.add_argument("--dot", help="write the witness as DOT")
@@ -223,13 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="evaluate one bound or the whole suite")
     p_check.add_argument("bound", nargs="?", help="bound id, e.g. union-symbol-tight")
     p_check.add_argument("--all", action="store_true", help="run the full tightness+soundness suite")
-    p_check.add_argument("--max-n", dest="max_n", type=int, default=5, help="grid limit for --all")
-    for flag in _CHECK_PARAM_FLAGS:
-        if flag in ("seed", "pairs"):
-            continue
-        p_check.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=int)
-    p_check.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_check.add_argument("--pairs", type=int, default=DEFAULT_PAIRS)
+    p_check.add_argument("--max-n", dest="max_n", type=int, help="grid limit for --all")
+    for name in CHECK_PARAMS:
+        p_check.add_argument("--" + name.replace("_", "-"), dest=name, type=int)
     p_check.add_argument("--format", choices=["table", "lines"], default="table")
     p_check.set_defaults(func=cmd_check)
 

@@ -234,18 +234,6 @@ def transition_counts(dfa: PartialDfa) -> TransitionCounts:
     return TransitionCounts(total=len(dfa.transitions), per_symbol=per)
 
 
-def check_size_bounds(dfa: PartialDfa) -> bool:
-    """Whether |Q|-1 <= #transitions <= |alphabet|*|Q| holds.
-
-    Only meaningful for connected DFAs (the lower bound needs every
-    state to be discovered through some transition); raises otherwise.
-    """
-    if not is_connected(dfa):
-        raise ValueError("size bounds apply to connected DFAs only")
-    t = len(dfa.transitions)
-    return dfa.state_count - 1 <= t <= len(dfa.alphabet) * dfa.state_count
-
-
 # --- serialization ---------------------------------------------------------
 
 def parse_dfa(text: str) -> PartialDfa:
@@ -331,7 +319,10 @@ def parse_dfa(text: str) -> PartialDfa:
         transitions[(src, sym)] = dst
 
     if stage < 4:
-        raise DfaParseError(0, f"incomplete input: missing {headers[stage]!r} line")
+        # reported at the line after the input's last one, where the header was due
+        raise DfaParseError(
+            len(text.splitlines()) + 1, f"incomplete input: missing {headers[stage]!r} line"
+        )
     assert alphabet is not None
     return PartialDfa(alphabet, state_count, start, frozenset(accepting), transitions)
 

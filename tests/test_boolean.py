@@ -9,12 +9,11 @@ from pdfa import (
     equivalent,
     intersection_product,
     minimize,
-    predicted_union_symbol_count,
     reachable,
     transition_counts,
     union_product,
-    union_product_tags,
 )
+from pdfa.bounds import union_symbol_upper
 from pdfa.witnesses import (
     epsilon_lang,
     unary_cycle,
@@ -38,9 +37,9 @@ def test_union_product_counts_match_prediction_on_witnesses():
     a = union_symbol_witness(2, 1)
     b = union_symbol_witness(3, 2)
     counts = transition_counts(union_product(a, b))
-    assert counts.per_symbol["b"] == predicted_union_symbol_count(1, 2, 2, 3)
+    assert counts.per_symbol["b"] == union_symbol_upper(1, 2, 2, 3)
     assert counts.per_symbol["b"] == 8
-    assert counts.per_symbol["c"] == predicted_union_symbol_count(2, 3, 2, 3)
+    assert counts.per_symbol["c"] == union_symbol_upper(2, 3, 2, 3)
     assert counts.per_symbol["c"] == 11
 
 
@@ -69,18 +68,18 @@ def test_union_requires_shared_alphabet():
 
 def test_prediction_validates_inputs():
     with pytest.raises(ValueError):
-        predicted_union_symbol_count(3, 0, 2, 2)  # t1 > q1
+        union_symbol_upper(3, 0, 2, 2)  # t1 > q1
     with pytest.raises(ValueError):
-        predicted_union_symbol_count(-1, 0, 2, 2)
+        union_symbol_upper(-1, 0, 2, 2)
 
 
 def test_prediction_arithmetic():
-    assert predicted_union_symbol_count(0, 0, 1, 1) == 0
-    assert predicted_union_symbol_count(1, 2, 2, 3) == 8
+    assert union_symbol_upper(0, 0, 1, 1) == 0
+    assert union_symbol_upper(1, 2, 2, 3) == 8
     # t_i = q_i - 1 specializes to q1*q2 + q1 + q2 - 3.
     for q1 in range(1, 6):
         for q2 in range(1, 6):
-            assert predicted_union_symbol_count(q1 - 1, q2 - 1, q1, q2) == (
+            assert union_symbol_upper(q1 - 1, q2 - 1, q1, q2) == (
                 q1 * q2 + q1 + q2 - 3
             )
 
@@ -92,7 +91,7 @@ def test_union_never_exceeds_prediction(pair):
     ca = transition_counts(a).per_symbol
     cb = transition_counts(b).per_symbol
     for sym in a.alphabet:
-        bound = predicted_union_symbol_count(
+        bound = union_symbol_upper(
             ca[sym], cb[sym], a.state_count, b.state_count
         )
         assert got[sym] <= bound
@@ -107,7 +106,7 @@ def test_union_prediction_exact_when_both_sides_incomplete(pair):
     ca = transition_counts(a).per_symbol
     cb = transition_counts(b).per_symbol
     for sym in a.alphabet:
-        assert got[sym] == predicted_union_symbol_count(
+        assert got[sym] == union_symbol_upper(
             ca[sym], cb[sym], a.state_count, b.state_count
         )
 
@@ -125,23 +124,23 @@ def test_dead_dead_pair_is_never_reachable():
     a = union_symbol_witness(2, 1)
     b = union_symbol_witness(3, 1)
     u = union_product(a, b)
-    tags = union_product_tags(a, b)
-    assert len(tags) == u.state_count
-    assert any(t.left is None and t.right is None for t in tags)
-    for idx in reachable(u):
-        tag = tags[idx]
-        assert tag.left is not None or tag.right is not None
+    # both sides incomplete: each padded with a dead slot, at index state_count
+    assert u.state_count == (2 + 1) * (3 + 1)
+    dead_dead = 2 * (3 + 1) + 3
+    assert dead_dead not in reachable(u)
+    assert not any((dead_dead, sym) in u.transitions for sym in u.alphabet)
 
 
 def test_tags_align_with_product_indexing():
     a = unary_cycle(2)  # complete: no padding on this side
     b = unary_singleton(1)  # incomplete: padded
-    tags = union_product_tags(a, b)
     u = union_product(a, b)
-    assert len(tags) == u.state_count == 2 * 3
-    assert (tags[0].left, tags[0].right) == (0, 0)
-    assert all(t.left is not None for t in tags)  # left side complete
-    assert any(t.right is None for t in tags)
+    # pair (p, q) sits at p * (padded size of b) + q
+    assert u.state_count == 2 * (2 + 1)
+    assert u.start == 0  # (0, 0)
+    assert u.transitions[(0, "b")] == 1 * 3 + 1  # (1, 1)
+    assert u.transitions[(4, "b")] == 0 * 3 + 2  # (0, dead): b has no move from 1
+    assert 2 in reachable(u)
 
 
 def test_intersection_of_cycles():

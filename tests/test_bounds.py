@@ -9,14 +9,12 @@ from pdfa.bounds import (
     check_bound,
     complement_upper,
     conjecture_bound,
-    intersection_symbol_upper,
     intersection_upper,
     render_report_line,
     render_report_table,
     run_suite,
     sample_pairs,
     unary_union_upper,
-    union_cycle_upper,
     union_state_upper,
     union_symbol_upper,
     union_total_lower,
@@ -48,11 +46,10 @@ def test_closed_form_values():
     assert union_state_upper(1, 1) == 3
     assert union_total_upper(3, 4) == 38
     assert union_total_lower(3, 4) == 18
-    assert union_cycle_upper(3, 4) == 18
     assert conjecture_bound(0, 3) == 3
     assert unary_union_upper(3, 2) == 6
     assert intersection_upper(2, 3) == 6
-    assert intersection_symbol_upper(4, 5) == 20
+    assert intersection_upper(4, 5) == 20
     assert complement_upper(2, 3) == 10
 
 
@@ -85,6 +82,25 @@ def test_check_missing_parameter():
     with pytest.raises(ValueError) as exc:
         check_bound(BoundId.UNION_SYMBOL_TIGHT, {"n1": 2})
     assert "n2" in str(exc.value)
+
+
+def test_check_rejects_parameters_the_claim_does_not_take():
+    with pytest.raises(ValueError) as exc:
+        check_bound("intersection-tight", {"n1": 2, "n2": 3, "k1": 9, "m": 4})
+    assert "k1, m" in str(exc.value)
+    assert "n1, n2" in str(exc.value)  # and says what it does take
+    with pytest.raises(ValueError) as exc:
+        check_bound(BoundId.UNION_TOTAL_UPPER, {"pairs": 5, "max_n": 4})
+    assert "max_n" in str(exc.value)
+
+
+def test_check_fills_defaults_from_the_claim_table():
+    rep = check_bound(BoundId.UNION_TOTAL_UPPER, {"pairs": 3})
+    assert rep.params == {"pairs": 3, "seed": 12345, "max_states": 4}
+    # kb1/kb2 default to n-1 of their own side
+    rep = check_bound(BoundId.UNION_MULTI_TIGHT, {"n1": 3, "n2": 4})
+    assert rep.params == {"n1": 3, "n2": 4, "ka1": 1, "kb1": 2, "ka2": 1, "kb2": 3}
+    assert rep.relation is Relation.EQUAL
 
 
 def test_tight_checks_reject_non_coprime_sizes():

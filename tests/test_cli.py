@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -119,6 +120,40 @@ def test_witness_requires_its_parameters(capsys):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["epsilon", "--n", "3"], "--n"),
+        (["unary-cycle", "--n", "2", "--alphabet", "ab"], "--alphabet"),
+        (["union-symbol", "--n", "3", "--k", "1", "--m", "7"], "--m"),
+        (["union-total", "--n", "3", "--b", "x"], "--b"),
+    ],
+)
+def test_witness_rejects_flags_its_family_ignores(argv, flag, capsys):
+    assert main(["witness", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "does not take" in err and flag in err
+
+
+def test_witness_defaults_come_from_the_family(capsys):
+    # no --b/--c given: the family's own b-loop and c-cycle symbols
+    assert main(["witness", "union-symbol", "--n", "2", "--k", "1", "--b", "a"]) == 0
+    assert parse_dfa(capsys.readouterr().out) == union_symbol_witness(2, 1, b="a")
+
+
+@pytest.mark.parametrize("command", ["witness", "analyze", "union"])
+def test_write_errors_exit_2(command, witness_file, tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x")
+    path = witness_file(unary_cycle(3))
+    argv = {
+        "witness": ["witness", "epsilon", "--out", missing],
+        "analyze": ["analyze", path, "--dot", missing],  # after the results are printed
+        "union": ["union", path, path, "--min-out", missing],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {missing}")
+
+
 def test_witness_bad_loop_syntax(capsys):
     assert main(["witness", "union-multi", "--n", "3", "--loop", "ab3"]) == 2
     assert "SYMBOL=COUNT" in capsys.readouterr().err
@@ -150,6 +185,23 @@ def test_check_rejects_non_coprime_input(capsys):
     assert "gcd" in capsys.readouterr().err
 
 
+def test_check_rejects_parameters_the_bound_does_not_take(capsys):
+    argv = ["check", "intersection-tight", "--n1", "2", "--n2", "3", "--k1", "9", "--m", "4"]
+    assert main(argv) == 2
+    assert "does not take k1, m" in capsys.readouterr().err
+
+
+def test_check_single_bound_gets_the_table_defaults(capsys):
+    assert main(["check", "union-total-upper", "--pairs", "3", "--format", "lines"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("union-total-upper pairs=3 seed=12345 max_states=4 ")
+
+
+def test_check_all_rejects_per_check_flags(capsys):
+    assert main(["check", "--all", "--n1", "99"]) == 2
+    assert "--n1" in capsys.readouterr().err
+
+
 def test_check_requires_bound_or_all(capsys):
     assert main(["check"]) == 2
     assert "--all" in capsys.readouterr().err
@@ -163,6 +215,23 @@ def test_check_all_small_grid(capsys):
     # Same invocation, same bytes.
     assert main(["check", "--all", "--max-n", "3", "--pairs", "5", "--format", "lines"]) == 0
     assert capsys.readouterr().out == out
+
+
+# SHA-256 of `pdfa check --all --max-n 5 --pairs 20 --seed 0` in each format.
+# The table digest is also the benchmark's smoke pin for suite seed 0; a
+# change to any check, its parameters or the report layout shows up here.
+REPORT_DIGESTS = {
+    "table": "fd8e6aeba15cdacf62c93e884a21091ee5b771eda795611c5e92f312a2f6ddb3",
+    "lines": "652a6b305bd9c092e1ba1723904096313f4bf77e90d790ea9c6530ef80c53b4f",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REPORT_DIGESTS))
+def test_check_all_report_is_pinned(fmt, capsys):
+    argv = ["check", "--all", "--max-n", "5", "--pairs", "20", "--seed", "0", "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[fmt]
 
 
 def test_check_exit_code_on_violation(monkeypatch, capsys):

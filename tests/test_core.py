@@ -6,7 +6,6 @@ from pdfa import (
     DfaParseError,
     PartialDfa,
     accepts,
-    check_size_bounds,
     coaccessible,
     empty_language_dfa,
     is_connected,
@@ -155,20 +154,20 @@ def test_transition_total_is_sum_of_symbol_counts(d):
     assert all(0 <= v <= d.state_count for v in counts.per_symbol.values())
 
 
+def _within_size_bounds(d):
+    t = transition_counts(d).total
+    return d.state_count - 1 <= t <= len(d.alphabet) * d.state_count
+
+
 def test_size_bounds_hold_for_connected_machines():
-    assert check_size_bounds(empty_language_dfa(Alphabet("a")))
-    assert check_size_bounds(union_symbol_witness(5, 2))
-
-
-def test_size_bounds_require_connected_input():
-    d = PartialDfa(Alphabet("a"), 2, 0, frozenset({0}), {})
-    with pytest.raises(ValueError):
-        check_size_bounds(d)
+    assert _within_size_bounds(empty_language_dfa(Alphabet("a")))
+    assert _within_size_bounds(union_symbol_witness(5, 2))
 
 
 @given(partial_dfas())
 def test_size_bounds_hold_after_trimming(d):
-    assert check_size_bounds(trim(d))
+    # |Q|-1 <= t <= |alphabet|*|Q| on every connected machine
+    assert _within_size_bounds(trim(d))
 
 
 def test_parse_render_round_trip():
@@ -206,6 +205,16 @@ def test_parse_rejects_unknown_symbol():
 def test_parse_rejects_missing_header():
     with pytest.raises(DfaParseError):
         parse_dfa("alphabet a b\nstart 0\naccept 0\n")
+
+
+def test_parse_reports_truncated_input_after_its_last_line():
+    with pytest.raises(DfaParseError) as exc:
+        parse_dfa("alphabet a\nstates 2\n")
+    assert exc.value.line == 3
+    assert "missing 'start'" in str(exc.value)
+    with pytest.raises(DfaParseError) as exc:
+        parse_dfa("")
+    assert exc.value.line == 1
 
 
 def test_parse_skips_comments_and_blank_lines():
