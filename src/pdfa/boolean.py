@@ -10,7 +10,7 @@ language complexities.
 
 from __future__ import annotations
 
-from .core import PartialDfa
+from .core import PartialDfa, transition_table
 
 
 def _check_same_alphabet(a: PartialDfa, b: PartialDfa) -> None:
@@ -33,6 +33,8 @@ def union_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
     and is sterile by construction.
     """
     _check_same_alphabet(a, b)
+    ta, tb = transition_table(a), transition_table(b)
+    k = len(a.alphabet)
     na, nb = a.state_count, b.state_count
     pa = _padded_size(a)
     pb = _padded_size(b)
@@ -40,22 +42,16 @@ def union_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
     def idx(p: int, q: int) -> int:
         return p * pb + q
 
-    def component_step(dfa: PartialDfa, live_count: int, state: int, sym: str) -> int:
-        # index == live_count is the dead slot; undefined moves fall into it
-        if state >= live_count:
-            return live_count
-        nxt = dfa.transitions.get((state, sym))
-        return live_count if nxt is None else nxt
-
     transitions: dict[tuple[int, str], int] = {}
     for p in range(pa):
         for q in range(pb):
-            for sym in a.alphabet:
-                np = component_step(a, na, p, sym)
-                nq = component_step(b, nb, q, sym)
-                if np == na and nq == nb:
+            for j, sym in enumerate(a.alphabet):
+                np = ta[p * k + j] if p < na else -1
+                nq = tb[q * k + j] if q < nb else -1
+                if np < 0 and nq < 0:
                     continue  # both sides dead: leave the move undefined
-                transitions[(idx(p, q), sym)] = idx(np, nq)
+                # index == state_count is the dead slot; undefined moves fall into it
+                transitions[(idx(p, q), sym)] = idx(na if np < 0 else np, nb if nq < 0 else nq)
 
     accepting = frozenset(
         idx(p, q)
@@ -75,17 +71,22 @@ def intersection_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
     ``bounds.union_symbol_upper``).
     """
     _check_same_alphabet(a, b)
+    ta, tb = transition_table(a), transition_table(b)
+    k = len(a.alphabet)
     nb = b.state_count
 
     def idx(p: int, q: int) -> int:
         return p * nb + q
 
     transitions: dict[tuple[int, str], int] = {}
-    for (p, sym), np in a.transitions.items():
-        for q in range(nb):
-            nq = b.transitions.get((q, sym))
-            if nq is not None:
-                transitions[(idx(p, q), sym)] = idx(np, nq)
+    for p in range(a.state_count):
+        for j, sym in enumerate(a.alphabet):
+            np = ta[p * k + j]
+            if np >= 0:
+                for q in range(nb):
+                    nq = tb[q * k + j]
+                    if nq >= 0:
+                        transitions[(idx(p, q), sym)] = idx(np, nq)
 
     accepting = frozenset(idx(p, q) for p in a.accepting for q in b.accepting)
     return PartialDfa(a.alphabet, a.state_count * nb, idx(a.start, b.start), accepting, transitions)
@@ -100,6 +101,7 @@ def complement(a: PartialDfa) -> PartialDfa:
     complete.  (When the input is complete the sink is unreachable
     padding; minimizing afterwards discards it.)
     """
+    transition_table(a)  # rejects a malformed machine
     sink = a.state_count
     transitions = dict(a.transitions)
     for q in range(a.state_count):

@@ -13,7 +13,6 @@ byte-identical artifacts.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -63,9 +62,9 @@ class PartialDfa:
     ``transitions`` maps ``(state, symbol) -> state``; absent keys are
     undefined moves (immediate rejection).  Construction is permissive --
     out-of-range indices or unknown symbols are representable so that
-    diagnostics can be produced by :func:`validate` instead of at
-    construction time.  Everything is copied into immutable/owned
-    containers, so instances are safe to share.
+    :func:`validate` can report them; operations reject them on entry
+    through :func:`transition_table`.  Everything is copied into
+    immutable/owned containers, so instances are safe to share.
     """
 
     alphabet: Alphabet
@@ -114,8 +113,7 @@ def validate(dfa: PartialDfa) -> ValidationReport:
     for q in sorted(dfa.accepting):
         if not 0 <= q < n:
             bad.append(f"accepting state {q} out of range 0..{n - 1}")
-    items = sorted(dfa.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-    for (src, sym), dst in items:
+    for (src, sym), dst in sorted(dfa.transitions.items()):
         where = f"transition ({src}, {sym!r}) -> {dst}"
         if sym not in dfa.alphabet:
             bad.append(f"{where}: symbol not in alphabet")
@@ -124,6 +122,24 @@ def validate(dfa: PartialDfa) -> ValidationReport:
         if not 0 <= dst < n:
             bad.append(f"{where}: target out of range")
     return ValidationReport(ok=not bad, violations=tuple(bad))
+
+
+def transition_table(dfa: PartialDfa) -> list[int]:
+    """The flat row-major table ``delta[q*k + j]`` (-1 = undefined); raises
+    ValueError listing :func:`validate`'s violations if ``dfa`` has any, but
+    formats nothing unless it fails."""
+    n, k = dfa.state_count, len(dfa.alphabet)
+    column = {sym: j for j, sym in enumerate(dfa.alphabet.symbols)}
+    table = [-1] * (n * k)
+    for (src, sym), dst in dfa.transitions.items():
+        j = column.get(sym)
+        if j is None or not (0 <= src < n and 0 <= dst < n):
+            break
+        table[src * k + j] = dst
+    else:
+        if 0 <= dfa.start < n and all(0 <= q < n for q in dfa.accepting):
+            return table
+    raise ValueError("malformed DFA: " + "; ".join(validate(dfa).violations))
 
 
 def accepts(dfa: PartialDfa, word: str) -> bool:
@@ -147,9 +163,8 @@ def accepts(dfa: PartialDfa, word: str) -> bool:
 def reachable(dfa: PartialDfa) -> frozenset[int]:
     """States reachable from the start via defined transitions (BFS)."""
     seen = {dfa.start}
-    queue = deque([dfa.start])
-    while queue:
-        q = queue.popleft()
+    queue = [dfa.start]
+    for q in queue:
         for sym in dfa.alphabet:
             nxt = dfa.transitions.get((q, sym))
             if nxt is not None and nxt not in seen:
@@ -164,9 +179,8 @@ def coaccessible(dfa: PartialDfa) -> frozenset[int]:
     for (src, _sym), dst in dfa.transitions.items():
         rev.setdefault(dst, []).append(src)
     seen = set(q for q in dfa.accepting if 0 <= q < dfa.state_count)
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
+    queue = list(seen)
+    for q in queue:
         for src in rev.get(q, ()):
             if src not in seen:
                 seen.add(src)
@@ -184,33 +198,26 @@ def empty_language_dfa(alphabet: Alphabet) -> PartialDfa:
     return PartialDfa(alphabet, 1, 0, frozenset(), {})
 
 
-def _bfs_order(dfa: PartialDfa, keep: frozenset[int]) -> dict[int, int]:
-    """Renumbering old->new by BFS from the start, restricted to ``keep``.
-
-    Ties are broken by alphabet order, which makes the numbering (and
-    thus every artifact derived from it) deterministic.
-    """
+def _renumbered(dfa: PartialDfa, keep: frozenset[int] | None = None) -> PartialDfa:
+    """Renumber by one BFS from the start through ``keep`` (default: every
+    state), dropping what it does not reach.  Ties are broken by alphabet
+    order, which makes the numbering (and every artifact) deterministic."""
     order = {dfa.start: 0}
-    queue = deque([dfa.start])
-    while queue:
-        q = queue.popleft()
-        for sym in dfa.alphabet:
+    queue = [dfa.start]
+    transitions = {}
+    for q in queue:
+        src = order[q]
+        for sym in dfa.alphabet.symbols:
             nxt = dfa.transitions.get((q, sym))
-            if nxt is not None and nxt in keep and nxt not in order:
-                order[nxt] = len(order)
+            if nxt is None or (keep is not None and nxt not in keep):
+                continue
+            dst = order.get(nxt)
+            if dst is None:
+                dst = order[nxt] = len(order)
                 queue.append(nxt)
-    return order
-
-
-def _renumbered(dfa: PartialDfa, keep: frozenset[int]) -> PartialDfa:
-    order = _bfs_order(dfa, keep)
-    transitions = {
-        (order[src], sym): order[dst]
-        for (src, sym), dst in dfa.transitions.items()
-        if src in order and dst in order
-    }
+            transitions[(src, sym)] = dst
     accepting = frozenset(order[q] for q in dfa.accepting if q in order)
-    return PartialDfa(dfa.alphabet, len(order), order[dfa.start], accepting, transitions)
+    return PartialDfa(dfa.alphabet, len(order), 0, accepting, transitions)
 
 
 def trim(dfa: PartialDfa) -> PartialDfa:

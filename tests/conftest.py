@@ -6,6 +6,31 @@ from pdfa import Alphabet, PartialDfa, accepts
 
 ALPHA = {1: Alphabet("a"), 2: Alphabet("ab"), 3: Alphabet("abc")}
 
+# One machine per structural defect, each otherwise a well-formed 2-state
+# DFA over {a, b}, with the ValueError message it must raise.
+MALFORMED = {
+    "target-out-of-range": (
+        PartialDfa(ALPHA[2], 2, 0, {1}, {(0, "a"): 1, (0, "b"): 7}),
+        r"\(0, 'b'\) -> 7: target out of range",
+    ),
+    "source-out-of-range": (
+        PartialDfa(ALPHA[2], 2, 0, {1}, {(0, "a"): 1, (2, "b"): 0}),
+        r"\(2, 'b'\) -> 0: source out of range",
+    ),
+    "foreign-symbol": (
+        PartialDfa(ALPHA[2], 2, 0, {1}, {(0, "a"): 1, (1, "z"): 0}),
+        r"\(1, 'z'\) -> 0: symbol not in alphabet",
+    ),
+    "start-out-of-range": (
+        PartialDfa(ALPHA[2], 2, 2, {1}, {(0, "a"): 1}),
+        "start state 2 out of range",
+    ),
+    "accepting-out-of-range": (
+        PartialDfa(ALPHA[2], 2, 0, {5}, {(0, "a"): 1}),
+        "accepting state 5 out of range",
+    ),
+}
+
 
 def words(alphabet: Alphabet, max_len: int):
     """All words over the alphabet up to the given length, shortlex order."""

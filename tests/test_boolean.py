@@ -22,7 +22,7 @@ from pdfa.witnesses import (
     union_total_witness,
 )
 
-from conftest import dfa_pairs, language, partial_dfas, words
+from conftest import MALFORMED, dfa_pairs, language, partial_dfas, words
 
 
 def test_union_of_epsilon_with_itself():
@@ -210,3 +210,18 @@ def test_complement_transition_count_is_forced():
         c = complement(d)
         assert c.state_count == d.state_count + 1
         assert transition_counts(c).total == (d.state_count + 1) * len(d.alphabet)
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED))
+def test_operations_reject_a_malformed_operand(defect):
+    bad, message = MALFORMED[defect]
+    good = union_symbol_witness(2, 1, b="a", c="b")
+    for op in (
+        lambda: union_product(bad, good),
+        lambda: union_product(good, bad),
+        lambda: intersection_product(bad, good),
+        lambda: intersection_product(good, bad),
+        lambda: complement(bad),
+    ):
+        with pytest.raises(ValueError, match=message):
+            op()

@@ -5,10 +5,10 @@ from pdfa import (
     Alphabet,
     PartialDfa,
     canonicalize,
-    complete_with_sink,
     complexity,
     empty_language_dfa,
     equivalent,
+    intersection_product,
     minimize,
     pair_equivalent,
     render_dfa,
@@ -16,15 +16,19 @@ from pdfa import (
     trim,
     union_product,
 )
+from pdfa.bounds import sample_pairs
+from pdfa.oracle import _all_dfas
 from pdfa.witnesses import (
     chain_star_witness,
     epsilon_lang,
     unary_cycle,
     unary_singleton,
     union_symbol_witness,
+    union_total_witness,
 )
 
-from conftest import dfa_pairs, language, partial_dfas
+from conftest import MALFORMED, dfa_pairs, language, partial_dfas
+from moore import complete_with_sink, moore_minimize
 
 
 def test_complete_machine_gains_no_sink():
@@ -204,3 +208,73 @@ def test_canonicalize_requires_connected_input():
 def test_minimize_output_is_canonical(d):
     m = minimize(d)
     assert canonicalize(m) == m
+
+
+def disagreements(minimizer, dfas) -> list[PartialDfa]:
+    """The machines on which ``minimizer`` and Moore's reference differ."""
+    return [d for d in dfas if minimizer(d) != moore_minimize(d)]
+
+
+@pytest.mark.parametrize("max_states, symbols", [(3, "ab"), (6, "b")])
+def test_minimize_matches_moore_on_every_small_dfa(max_states, symbols):
+    assert disagreements(minimize, _all_dfas(max_states, Alphabet(symbols))) == []
+
+
+@given(partial_dfas())
+def test_minimize_matches_moore(d):
+    assert minimize(d) == moore_minimize(d)
+
+
+def _large_products():
+    """Union products and cycle intersections of up to ~300 states."""
+    yield union_product(union_symbol_witness(12, 5), union_symbol_witness(13, 7))
+    yield union_product(union_total_witness(9), union_total_witness(14))
+    yield union_product(unary_cycle(12), unary_singleton(20))
+    yield intersection_product(unary_cycle(13), unary_cycle(23))
+    yield intersection_product(unary_cycle(12), unary_cycle(18))  # not coprime: merges
+    for a, b in sample_pairs(seed=5, count=40, max_states=6):
+        yield union_product(a, b)
+        yield intersection_product(a, b)
+
+
+def test_minimize_matches_moore_on_large_products():
+    assert disagreements(minimize, _large_products()) == []
+
+
+def _never_merges(d: PartialDfa) -> PartialDfa:
+    return canonicalize(trim(d))
+
+
+def _one_wrong_merge(d: PartialDfa) -> PartialDfa:
+    """Minimize, then fold the last state into the one before it when the
+    two agree on acceptance -- a merge only a move's definedness or target
+    can refute."""
+    m = minimize(d)
+    last = m.state_count - 1
+    if last < 1 or (last in m.accepting) != (last - 1 in m.accepting):
+        return m
+
+    def fold(q: int) -> int:
+        return last - 1 if q == last else q
+
+    transitions: dict[tuple[int, str], int] = {}
+    for (q, sym), t in sorted(m.transitions.items()):
+        transitions.setdefault((fold(q), sym), fold(t))
+    return canonicalize(PartialDfa(m.alphabet, last, 0, frozenset(map(fold, m.accepting)), transitions))
+
+
+@pytest.mark.parametrize("mutant", [_never_merges, _one_wrong_merge])
+def test_differential_check_catches_a_broken_minimizer(mutant):
+    """The never-merging mutant keeps every language, so the language check
+    in ``verify_lemma1`` passes it; comparing minimal forms rejects both."""
+    dfas = list(_all_dfas(3, Alphabet("ab")))
+    assert disagreements(mutant, dfas)
+    if mutant is _never_merges:
+        assert all(pair_equivalent(d, mutant(d)) for d in dfas)
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED))
+def test_minimize_rejects_a_malformed_machine(defect):
+    d, message = MALFORMED[defect]
+    with pytest.raises(ValueError, match=message):
+        minimize(d)
