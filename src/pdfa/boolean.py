@@ -10,7 +10,7 @@ language complexities.
 
 from __future__ import annotations
 
-from .core import PartialDfa, transition_table
+from .core import PartialDfa
 
 
 def _check_same_alphabet(a: PartialDfa, b: PartialDfa) -> None:
@@ -33,8 +33,9 @@ def union_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
     and is sterile by construction.
     """
     _check_same_alphabet(a, b)
-    ta, tb = transition_table(a), transition_table(b)
     k = len(a.alphabet)
+    dead = (-1,) * k  # the dead slot's row: no move defined
+    ta, tb = a.table + dead, b.table + dead
     na, nb = a.state_count, b.state_count
     pa = _padded_size(a)
     pb = _padded_size(b)
@@ -42,16 +43,14 @@ def union_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
     def idx(p: int, q: int) -> int:
         return p * pb + q
 
-    transitions: dict[tuple[int, str], int] = {}
+    table = []
     for p in range(pa):
         for q in range(pb):
-            for j, sym in enumerate(a.alphabet):
-                np = ta[p * k + j] if p < na else -1
-                nq = tb[q * k + j] if q < nb else -1
-                if np < 0 and nq < 0:
-                    continue  # both sides dead: leave the move undefined
-                # index == state_count is the dead slot; undefined moves fall into it
-                transitions[(idx(p, q), sym)] = idx(na if np < 0 else np, nb if nq < 0 else nq)
+            for j in range(k):
+                np, nq = ta[p * k + j], tb[q * k + j]
+                # both sides dead: the move stays undefined; one side dead
+                # sends that side to its dead slot (index == state_count)
+                table.append(-1 if np < 0 and nq < 0 else idx(na if np < 0 else np, nb if nq < 0 else nq))
 
     accepting = frozenset(
         idx(p, q)
@@ -59,7 +58,7 @@ def union_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
         for q in range(pb)
         if (p < na and p in a.accepting) or (q < nb and q in b.accepting)
     )
-    return PartialDfa(a.alphabet, pa * pb, idx(a.start, b.start), accepting, transitions)
+    return PartialDfa.from_table(a.alphabet, pa * pb, idx(a.start, b.start), accepting, table)
 
 
 def intersection_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
@@ -71,25 +70,21 @@ def intersection_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
     ``bounds.union_symbol_upper``).
     """
     _check_same_alphabet(a, b)
-    ta, tb = transition_table(a), transition_table(b)
+    ta, tb = a.table, b.table
     k = len(a.alphabet)
     nb = b.state_count
 
     def idx(p: int, q: int) -> int:
         return p * nb + q
 
-    transitions: dict[tuple[int, str], int] = {}
-    for p in range(a.state_count):
-        for j, sym in enumerate(a.alphabet):
-            np = ta[p * k + j]
-            if np >= 0:
-                for q in range(nb):
-                    nq = tb[q * k + j]
-                    if nq >= 0:
-                        transitions[(idx(p, q), sym)] = idx(np, nq)
-
+    table = [
+        -1 if ta[p * k + j] < 0 or tb[q * k + j] < 0 else idx(ta[p * k + j], tb[q * k + j])
+        for p in range(a.state_count)
+        for q in range(nb)
+        for j in range(k)
+    ]
     accepting = frozenset(idx(p, q) for p in a.accepting for q in b.accepting)
-    return PartialDfa(a.alphabet, a.state_count * nb, idx(a.start, b.start), accepting, transitions)
+    return PartialDfa.from_table(a.alphabet, a.state_count * nb, idx(a.start, b.start), accepting, table)
 
 
 def complement(a: PartialDfa) -> PartialDfa:
@@ -101,13 +96,7 @@ def complement(a: PartialDfa) -> PartialDfa:
     complete.  (When the input is complete the sink is unreachable
     padding; minimizing afterwards discards it.)
     """
-    transition_table(a)  # rejects a malformed machine
     sink = a.state_count
-    transitions = dict(a.transitions)
-    for q in range(a.state_count):
-        for sym in a.alphabet:
-            transitions.setdefault((q, sym), sink)
-    for sym in a.alphabet:
-        transitions[(sink, sym)] = sink
+    table = [sink if t < 0 else t for t in a.table] + [sink] * len(a.alphabet)
     accepting = frozenset(q for q in range(a.state_count) if q not in a.accepting) | {sink}
-    return PartialDfa(a.alphabet, sink + 1, a.start, accepting, transitions)
+    return PartialDfa.from_table(a.alphabet, sink + 1, a.start, accepting, table)

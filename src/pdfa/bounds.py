@@ -227,14 +227,9 @@ def sample_connected_dfa(
     """
     n = state_count
     while True:
-        transitions: dict[tuple[int, str], int] = {}
-        for q in range(n):
-            for sym in alphabet:
-                v = rng.randrange(-1, n)
-                if v >= 0:
-                    transitions[(q, sym)] = v
+        table = [rng.randrange(-1, n) for _ in range(n * len(alphabet))]
         accepting = frozenset(q for q in range(n) if rng.getrandbits(1))
-        dfa = PartialDfa(alphabet, n, 0, accepting, transitions)
+        dfa = PartialDfa.from_table(alphabet, n, 0, accepting, table)
         if not is_connected(dfa):
             continue
         if require_incomplete and dfa.is_complete():

@@ -1,20 +1,24 @@
 """Core value types and operations for incomplete (partial) DFAs.
 
-A partial DFA keeps its transition function as a partial map: a missing
-``(state, symbol)`` entry means the machine halts and rejects.  There is
-no explicit dead state anywhere in this representation; completions and
-products introduce one only when an operation demands it.
+A partial DFA stores its transition function as one flat row-major table:
+``table[q*k + j]`` is the target of state ``q`` on the ``j``-th symbol,
+or -1 where the move is undefined and the machine halts and rejects
+(the string representation of Almeida, Moreira and Reis, "Enumeration
+and generation with a string automata representation", TCS 2007).
+There is no explicit dead state; completions and products add one only
+when an operation demands it.  The ``(state, symbol) -> state`` mapping
+is a view derived from the table.
 
 States are always ``0 .. state_count-1`` and the alphabet ordering is
-significant -- it fixes traversal order for trimming, canonical
-numbering, rendering and enumeration, so equal languages produce
-byte-identical artifacts.
+significant -- it fixes the table's columns and with them traversal
+order for trimming, canonical numbering, rendering and enumeration, so
+equal languages produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping
 
 
 class DfaParseError(ValueError):
@@ -55,43 +59,110 @@ class Alphabet:
         return self.symbols.index(symbol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PartialDfa:
-    """An incomplete DFA over ``alphabet``.
+    """An incomplete DFA over ``alphabet``, stored as its flat table.
 
-    ``transitions`` maps ``(state, symbol) -> state``; absent keys are
-    undefined moves (immediate rejection).  Construction is permissive --
-    out-of-range indices or unknown symbols are representable so that
-    :func:`validate` can report them; operations reject them on entry
-    through :func:`transition_table`.  Everything is copied into
-    immutable/owned containers, so instances are safe to share.
+    ``PartialDfa(alphabet, n, start, accepting, transitions)`` takes the
+    transitions as a ``(state, symbol) -> state`` mapping, absent keys
+    being undefined moves; :meth:`from_table` takes the table itself.
+    Both reject a malformed machine -- a start, accepting, source or
+    target state outside ``0..n-1`` or a foreign symbol -- with a
+    ValueError listing every violation, so every instance is well formed.
+    Instances are immutable and hashable: equal machines have equal
+    tables.
     """
 
     alphabet: Alphabet
     state_count: int
     start: int
     accepting: frozenset[int]
-    transitions: Mapping[tuple[int, str], int] = field(default_factory=dict)
+    table: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "transitions", dict(self.transitions))
+    def __init__(self, alphabet: Alphabet, state_count: int, start: int, accepting: Iterable[int],
+                 transitions: Mapping[tuple[int, str], int] = {}):
+        n, k = state_count, len(alphabet)
+        column = {sym: j for j, sym in enumerate(alphabet.symbols)}
+        table = [-1] * (n * k)
+        for (src, sym), dst in transitions.items():
+            j = column.get(sym)
+            if j is None or not (0 <= src < n and 0 <= dst < n):
+                moves = ((src, sym, dst) for (src, sym), dst in transitions.items())
+                raise _malformed(alphabet, n, start, accepting, moves)
+            table[src * k + j] = dst
+        self._fill(alphabet, n, start, accepting, tuple(table))
+
+    @classmethod
+    def from_table(cls, alphabet: Alphabet, state_count: int, start: int,
+                   accepting: Iterable[int], table: Iterable[int]) -> PartialDfa:
+        """The machine with flat table ``table`` (-1 = undefined)."""
+        dfa = object.__new__(cls)
+        dfa._fill(alphabet, state_count, start, accepting, tuple(table))
+        return dfa
+
+    def _fill(self, alphabet, n, start, accepting, table) -> None:
+        accepting = frozenset(accepting)
+        if len(table) != n * len(alphabet):
+            raise ValueError(f"malformed DFA: table length {len(table)} is not "
+                             f"{n} states times {len(alphabet)} symbols")
+        if (
+            (table and (min(table) < -1 or max(table) >= n))
+            or not 0 <= start < n
+            or (accepting and (min(accepting) < 0 or max(accepting) >= n))
+        ):
+            raise _malformed(alphabet, n, start, accepting, _moves(alphabet, table))
+        put = object.__setattr__
+        put(self, "alphabet", alphabet)
+        put(self, "state_count", n)
+        put(self, "start", start)
+        put(self, "accepting", accepting)
+        put(self, "table", table)
+
+    @property
+    def transitions(self) -> dict[tuple[int, str], int]:
+        """The defined moves as a fresh ``(state, symbol) -> state`` dict."""
+        return {(src, sym): dst for src, sym, dst in _moves(self.alphabet, self.table)}
 
     def step(self, state: int, symbol: str) -> int | None:
         """Target of the ``symbol`` move from ``state``, or None if undefined."""
-        return self.transitions.get((state, symbol))
+        if not 0 <= state < self.state_count:
+            raise ValueError(f"state {state} out of range 0..{self.state_count - 1}")
+        t = self.table[state * len(self.alphabet) + self.alphabet.index(symbol)]
+        return None if t < 0 else t
 
     def is_complete(self) -> bool:
-        return len(self.transitions) == self.state_count * len(self.alphabet)
+        return -1 not in self.table
 
     def states(self) -> range:
         return range(self.state_count)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
+def _moves(alphabet: Alphabet, table: tuple[int, ...]) -> Iterator[tuple[int, str, int]]:
+    """The defined moves ``(src, symbol, dst)`` of a table, in table order."""
+    k, syms = len(alphabet), alphabet.symbols
+    return ((i // k, syms[i % k], t) for i, t in enumerate(table) if t != -1)
+
+
+def _malformed(alphabet, n, start, accepting, moves) -> ValueError:
+    """The error for a malformed machine, listing every violation among
+    its states and its ``(src, symbol, dst)`` moves."""
+    bad: list[str] = []
+    if n < 1:
+        bad.append(f"state count must be at least 1, got {n}")
+    if not 0 <= start < n:
+        bad.append(f"start state {start} out of range 0..{n - 1}")
+    for q in sorted(accepting):
+        if not 0 <= q < n:
+            bad.append(f"accepting state {q} out of range 0..{n - 1}")
+    for src, sym, dst in sorted(moves):
+        where = f"transition ({src}, {sym!r}) -> {dst}"
+        if sym not in alphabet:
+            bad.append(f"{where}: symbol not in alphabet")
+        if not 0 <= src < n:
+            bad.append(f"{where}: source out of range")
+        if not 0 <= dst < n:
+            bad.append(f"{where}: target out of range")
+    return ValueError("malformed DFA: " + "; ".join(bad))
 
 
 @dataclass(frozen=True)
@@ -102,83 +173,45 @@ class TransitionCounts:
     per_symbol: Mapping[str, int]
 
 
-def validate(dfa: PartialDfa) -> ValidationReport:
-    """Check structural well-formedness, reporting every violation found."""
-    bad: list[str] = []
-    n = dfa.state_count
-    if n < 1:
-        bad.append(f"state count must be at least 1, got {n}")
-    if not 0 <= dfa.start < n:
-        bad.append(f"start state {dfa.start} out of range 0..{n - 1}")
-    for q in sorted(dfa.accepting):
-        if not 0 <= q < n:
-            bad.append(f"accepting state {q} out of range 0..{n - 1}")
-    for (src, sym), dst in sorted(dfa.transitions.items()):
-        where = f"transition ({src}, {sym!r}) -> {dst}"
-        if sym not in dfa.alphabet:
-            bad.append(f"{where}: symbol not in alphabet")
-        if not 0 <= src < n:
-            bad.append(f"{where}: source out of range")
-        if not 0 <= dst < n:
-            bad.append(f"{where}: target out of range")
-    return ValidationReport(ok=not bad, violations=tuple(bad))
-
-
-def transition_table(dfa: PartialDfa) -> list[int]:
-    """The flat row-major table ``delta[q*k + j]`` (-1 = undefined); raises
-    ValueError listing :func:`validate`'s violations if ``dfa`` has any, but
-    formats nothing unless it fails."""
-    n, k = dfa.state_count, len(dfa.alphabet)
-    column = {sym: j for j, sym in enumerate(dfa.alphabet.symbols)}
-    table = [-1] * (n * k)
-    for (src, sym), dst in dfa.transitions.items():
-        j = column.get(sym)
-        if j is None or not (0 <= src < n and 0 <= dst < n):
-            break
-        table[src * k + j] = dst
-    else:
-        if 0 <= dfa.start < n and all(0 <= q < n for q in dfa.accepting):
-            return table
-    raise ValueError("malformed DFA: " + "; ".join(validate(dfa).violations))
-
-
 def accepts(dfa: PartialDfa, word: str) -> bool:
     """Run ``word`` from the start state; an undefined move rejects.
 
     Raises ValueError if the word uses a symbol outside the alphabet
     (checked up front, even past an undefined move).
     """
+    column = {sym: j for j, sym in enumerate(dfa.alphabet.symbols)}
     for sym in word:
-        if sym not in dfa.alphabet:
+        if sym not in column:
             raise ValueError(f"symbol {sym!r} not in alphabet")
-    state = dfa.start
+    k, table, state = len(column), dfa.table, dfa.start
     for sym in word:
-        nxt = dfa.transitions.get((state, sym))
-        if nxt is None:
+        state = table[state * k + column[sym]]
+        if state < 0:
             return False
-        state = nxt
     return state in dfa.accepting
 
 
 def reachable(dfa: PartialDfa) -> frozenset[int]:
     """States reachable from the start via defined transitions (BFS)."""
+    k, table = len(dfa.alphabet), dfa.table
     seen = {dfa.start}
     queue = [dfa.start]
     for q in queue:
-        for sym in dfa.alphabet:
-            nxt = dfa.transitions.get((q, sym))
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+        for t in table[q * k:q * k + k]:
+            if t >= 0 and t not in seen:
+                seen.add(t)
+                queue.append(t)
     return frozenset(seen)
 
 
 def coaccessible(dfa: PartialDfa) -> frozenset[int]:
     """States from which some accepting state is reachable."""
+    k = len(dfa.alphabet)
     rev: dict[int, list[int]] = {}
-    for (src, _sym), dst in dfa.transitions.items():
-        rev.setdefault(dst, []).append(src)
-    seen = set(q for q in dfa.accepting if 0 <= q < dfa.state_count)
+    for i, t in enumerate(dfa.table):
+        if t >= 0:
+            rev.setdefault(t, []).append(i // k)
+    seen = set(dfa.accepting)
     queue = list(seen)
     for q in queue:
         for src in rev.get(q, ()):
@@ -195,29 +228,34 @@ def is_connected(dfa: PartialDfa) -> bool:
 
 def empty_language_dfa(alphabet: Alphabet) -> PartialDfa:
     """The canonical recognizer of the empty language: one bare state."""
-    return PartialDfa(alphabet, 1, 0, frozenset(), {})
+    return PartialDfa.from_table(alphabet, 1, 0, frozenset(), (-1,) * len(alphabet))
 
 
 def _renumbered(dfa: PartialDfa, keep: frozenset[int] | None = None) -> PartialDfa:
     """Renumber by one BFS from the start through ``keep`` (default: every
     state), dropping what it does not reach.  Ties are broken by alphabet
-    order, which makes the numbering (and every artifact) deterministic."""
+    order, which makes the numbering (and every artifact) deterministic.
+    Returns ``dfa`` itself when the numbering is the identity and nothing
+    is dropped."""
+    k, table = len(dfa.alphabet), dfa.table
     order = {dfa.start: 0}
     queue = [dfa.start]
-    transitions = {}
+    out = []
     for q in queue:
-        src = order[q]
-        for sym in dfa.alphabet.symbols:
-            nxt = dfa.transitions.get((q, sym))
-            if nxt is None or (keep is not None and nxt not in keep):
+        for t in table[q * k:q * k + k]:
+            if t < 0 or (keep is not None and t not in keep):
+                out.append(-1)
                 continue
-            dst = order.get(nxt)
+            dst = order.get(t)
             if dst is None:
-                dst = order[nxt] = len(order)
-                queue.append(nxt)
-            transitions[(src, sym)] = dst
+                dst = order[t] = len(order)
+                queue.append(t)
+            out.append(dst)
+    out = tuple(out)
+    if dfa.start == 0 and out == table:
+        return dfa
     accepting = frozenset(order[q] for q in dfa.accepting if q in order)
-    return PartialDfa(dfa.alphabet, len(order), 0, accepting, transitions)
+    return PartialDfa.from_table(dfa.alphabet, len(order), 0, accepting, out)
 
 
 def trim(dfa: PartialDfa) -> PartialDfa:
@@ -235,10 +273,9 @@ def trim(dfa: PartialDfa) -> PartialDfa:
 
 def transition_counts(dfa: PartialDfa) -> TransitionCounts:
     """Count the defined transitions, in total and per symbol."""
-    per = {sym: 0 for sym in dfa.alphabet}
-    for (_src, sym) in dfa.transitions:
-        per[sym] += 1
-    return TransitionCounts(total=len(dfa.transitions), per_symbol=per)
+    k, n, table = len(dfa.alphabet), dfa.state_count, dfa.table
+    per = {sym: n - table[j::k].count(-1) for j, sym in enumerate(dfa.alphabet.symbols)}
+    return TransitionCounts(total=sum(per.values()), per_symbol=per)
 
 
 # --- serialization ---------------------------------------------------------
@@ -257,8 +294,8 @@ def parse_dfa(text: str) -> PartialDfa:
 
     Headers must appear in that order; every remaining line is one
     ``src symbol dst`` transition.  Errors carry the offending line
-    number and enforce well-formedness (so a parsed DFA always passes
-    validation).
+    number and enforce well-formedness, so the constructor never rejects
+    a parsed machine.
     """
     headers = ["alphabet", "states", "start", "accept"]
     stage = 0
@@ -346,9 +383,7 @@ def render_dfa(dfa: PartialDfa) -> str:
         f"start {dfa.start}",
         ("accept " + " ".join(str(q) for q in sorted(dfa.accepting))).rstrip(),
     ]
-    items = sorted(dfa.transitions.items(), key=lambda kv: (kv[0][0], dfa.alphabet.index(kv[0][1])))
-    for (src, sym), dst in items:
-        lines.append(f"{src} {sym} {dst}")
+    lines.extend(f"{src} {sym} {dst}" for src, sym, dst in _moves(dfa.alphabet, dfa.table))
     return "\n".join(lines) + "\n"
 
 
@@ -359,8 +394,6 @@ def render_dot(dfa: PartialDfa, name: str = "pdfa") -> str:
         shape = "doublecircle" if q in dfa.accepting else "circle"
         out.append(f"  {q} [shape={shape}];")
     out.append(f"  __start -> {dfa.start};")
-    items = sorted(dfa.transitions.items(), key=lambda kv: (kv[0][0], dfa.alphabet.index(kv[0][1])))
-    for (src, sym), dst in items:
-        out.append(f'  {src} -> {dst} [label="{sym}"];')
+    out.extend(f'  {src} -> {dst} [label="{sym}"];' for src, sym, dst in _moves(dfa.alphabet, dfa.table))
     out.append("}")
     return "\n".join(out) + "\n"

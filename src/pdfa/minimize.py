@@ -10,17 +10,10 @@ equality a dataclass comparison -- one of the two equivalence routes below.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import (
-    PartialDfa,
-    _renumbered,
-    empty_language_dfa,
-    transition_counts,
-    transition_table,
-)
+from .core import PartialDfa, _renumbered, empty_language_dfa, transition_counts
 
 
 @dataclass(frozen=True)
@@ -54,14 +47,14 @@ def canonicalize(dfa: PartialDfa) -> PartialDfa:
 def minimize(dfa: PartialDfa) -> PartialDfa:
     """The unique minimal partial DFA for the language, canonically numbered.
 
-    Raises ValueError on a malformed machine.  Refines the live (reachable,
-    co-accessible) states by Hopcroft's algorithm; a move into a dead state
-    counts as undefined, and every initial block is queued (Valmari and
-    Lehtinen's rule, which stands in for the dead state).  Later splits
-    queue only their smaller half: O(m log n) work for m defined moves.
+    Refines the live (reachable, co-accessible) states by Hopcroft's
+    algorithm; a move into a dead state counts as undefined, and every
+    initial block is queued (Valmari and Lehtinen's rule, which stands in
+    for the dead state).  Later splits queue only their smaller half:
+    O(m log n) work for m defined moves.
     The result has the fewest states and, per symbol, the fewest moves.
     """
-    k, delta = len(dfa.alphabet), transition_table(dfa)
+    k, delta = len(dfa.alphabet), dfa.table
     pre = [[] for _ in delta]  # pre[t*k + j]: the reachable sources of j-moves into t
     reach, stack = {dfa.start}, [dfa.start]
     while stack:
@@ -105,17 +98,19 @@ def minimize(dfa: PartialDfa) -> PartialDfa:
 
     number = {block[dfa.start]: 0}  # block -> quotient state, in BFS order
     reps = [dfa.start]
-    transitions = {}
-    for i, q in enumerate(reps):
-        for sym, t in zip(dfa.alphabet.symbols, delta[q * k:q * k + k]):
-            c = block.get(t)
-            if c is not None:
-                if c not in number:
-                    number[c] = len(reps)
-                    reps.append(t)
-                transitions[(i, sym)] = number[c]
+    table = []
+    for q in reps:
+        for t in delta[q * k:q * k + k]:
+            c = block.get(t)  # None for -1 and for dead states
+            if c is None:
+                table.append(-1)
+                continue
+            if c not in number:
+                number[c] = len(reps)
+                reps.append(t)
+            table.append(number[c])
     accepting = frozenset(i for i, q in enumerate(reps) if q in dfa.accepting)
-    return PartialDfa(dfa.alphabet, len(reps), 0, accepting, transitions)
+    return PartialDfa.from_table(dfa.alphabet, len(reps), 0, accepting, table)
 
 
 def complexity(dfa: PartialDfa) -> ComplexityReport:
@@ -136,30 +131,26 @@ def complexity(dfa: PartialDfa) -> ComplexityReport:
 def pair_equivalent(a: PartialDfa, b: PartialDfa) -> bool:
     """Language equality by synchronized product exploration.
 
-    Walks pairs of states with ``None`` standing for the implicit dead
-    state; a pair with mismatched acceptance witnesses a separating
-    word.  Independent of minimization -- used as the cross-check half
-    of :func:`equivalent` and by the brute-force oracle.
+    Walks pairs of states with -1 standing for the implicit dead state;
+    a pair with mismatched acceptance witnesses a separating word.
+    Independent of minimization -- used as the cross-check half of
+    :func:`equivalent` and by the brute-force oracle.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("cannot compare DFAs over different alphabets")
-    start = (a.start, b.start)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        p, q = queue.popleft()
-        in_a = p is not None and p in a.accepting
-        in_b = q is not None and q in b.accepting
-        if in_a != in_b:
+    k = len(a.alphabet)
+    dead = (-1,) * k  # the last row, which state -1 indexes
+    ta, tb = a.table + dead, b.table + dead
+    seen = {(a.start, b.start)}
+    queue = [(a.start, b.start)]
+    for p, q in queue:
+        if (p in a.accepting) != (q in b.accepting):
             return False
-        for sym in a.alphabet:
-            np = a.transitions.get((p, sym)) if p is not None else None
-            nq = b.transitions.get((q, sym)) if q is not None else None
-            if np is None and nq is None:
-                continue  # both dead; rejects everything on both sides
-            if (np, nq) not in seen:
-                seen.add((np, nq))
-                queue.append((np, nq))
+        for j in range(k):
+            pair = (ta[p * k + j], tb[q * k + j])
+            if pair not in seen and pair != (-1, -1):  # both dead: rejects everything
+                seen.add(pair)
+                queue.append(pair)
     return True
 
 

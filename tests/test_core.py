@@ -15,11 +15,10 @@ from pdfa import (
     render_dot,
     transition_counts,
     trim,
-    validate,
 )
 from pdfa.witnesses import union_symbol_witness, unary_singleton
 
-from conftest import language, partial_dfas
+from conftest import language, partial_dfas, words
 
 
 def test_alphabet_rejects_empty():
@@ -47,29 +46,64 @@ def test_alphabet_iteration_order():
 
 def test_validate_clean_dfa():
     d = union_symbol_witness(3, 1)
-    report = validate(d)
-    assert report.ok
-    assert report.violations == ()
+    assert PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, d.transitions) == d
+    assert PartialDfa.from_table(d.alphabet, d.state_count, d.start, d.accepting, d.table) == d
 
 
 def test_validate_collects_every_violation():
-    d = PartialDfa(
+    args = (
         Alphabet("ab"),
         2,
-        start=5,
-        accepting=frozenset({0, 9}),
-        transitions={(0, "a"): 7, (1, "z"): 0, (4, "b"): 1},
+        5,
+        frozenset({0, 9}),
+        {(0, "a"): 7, (1, "z"): 0, (4, "b"): 1},
     )
-    report = validate(d)
-    assert not report.ok
-    text = "\n".join(report.violations)
+    with pytest.raises(ValueError, match="^malformed DFA: ") as exc:
+        PartialDfa(*args)
+    text = str(exc.value)
     assert "start" in text
     assert "9" in text  # accepting state out of range
     assert "7" in text  # target out of range
     assert "z" in text  # symbol not in alphabet
     assert "4" in text  # source out of range
-    # Deterministic ordering: a second run produces the same tuple.
-    assert validate(d).violations == report.violations
+    # Deterministic ordering: a second run produces the same message.
+    with pytest.raises(ValueError) as again:
+        PartialDfa(*args)
+    assert str(again.value) == text
+
+
+@pytest.mark.parametrize(
+    "table, start, accepting, message",
+    [
+        ((1, -1, 0), 0, {1}, "table length 3 is not 2 states times 2 symbols"),
+        ((1, 2, 0, -1), 0, {1}, r"\(0, 'b'\) -> 2: target out of range"),
+        ((1, -2, 0, -1), 0, {1}, r"\(0, 'b'\) -> -2: target out of range"),
+        ((1, -1, 0, -1), 2, {1}, "start state 2 out of range"),
+        ((1, -1, 0, -1), 0, {1, 5}, "accepting state 5 out of range"),
+    ],
+    ids=["length", "target-too-large", "entry-below-minus-one", "start", "accepting"],
+)
+def test_from_table_rejects_a_malformed_table(table, start, accepting, message):
+    with pytest.raises(ValueError, match=message):
+        PartialDfa.from_table(Alphabet("ab"), 2, start, accepting, table)
+
+
+@given(partial_dfas())
+def test_table_agrees_with_its_dict_view(d):
+    moves = d.transitions
+    again = PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, moves)
+    assert again == d and hash(again) == hash(d)
+    assert parse_dfa(render_dfa(d)) == d
+    cells = [(q, sym) for q in d.states() for sym in d.alphabet]
+    assert [d.step(q, sym) for q, sym in cells] == [moves.get(cell) for cell in cells]
+    assert d.is_complete() == all(cell in moves for cell in cells)
+    for word in words(d.alphabet, 4):
+        state = d.start
+        for sym in word:
+            state = moves.get((state, sym))
+            if state is None:
+                break
+        assert accepts(d, word) == (state in d.accepting)
 
 
 def test_accepts_walks_partial_table():

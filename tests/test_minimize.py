@@ -275,6 +275,8 @@ def test_differential_check_catches_a_broken_minimizer(mutant):
 
 @pytest.mark.parametrize("defect", sorted(MALFORMED))
 def test_minimize_rejects_a_malformed_machine(defect):
-    d, message = MALFORMED[defect]
+    """A malformed machine is rejected where it is built, so ``minimize``
+    never receives one."""
+    args, message = MALFORMED[defect]
     with pytest.raises(ValueError, match=message):
-        minimize(d)
+        PartialDfa(*args)
