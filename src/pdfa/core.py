@@ -56,7 +56,10 @@ class Alphabet:
         return symbol in self.symbols
 
     def index(self, symbol: str) -> int:
-        return self.symbols.index(symbol)
+        try:
+            return self.symbols.index(symbol)
+        except ValueError:
+            raise ValueError(f"symbol {symbol!r} not in alphabet") from None
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -51,64 +51,82 @@ def minimize(dfa: PartialDfa) -> PartialDfa:
     algorithm; a move into a dead state counts as undefined, and every
     initial block is queued (Valmari and Lehtinen's rule, which stands in
     for the dead state).  Later splits queue only their smaller half:
-    O(m log n) work for m defined moves.
+    O(m log n) work for m defined moves.  Refinement stops early once
+    every block is a single state.
     The result has the fewest states and, per symbol, the fewest moves.
+    When ``dfa`` is already that machine (start 0, no state merged or
+    dropped, numbering canonical) it is returned itself, not a copy.
     """
-    k, delta = len(dfa.alphabet), dfa.table
+    k, delta, start = len(dfa.alphabet), dfa.table, dfa.start
     pre = [[] for _ in delta]  # pre[t*k + j]: the reachable sources of j-moves into t
-    reach, stack = {dfa.start}, [dfa.start]
-    while stack:
-        q = stack.pop()
+    block = [-2] * dfa.state_count  # -2 unreached, -1 dead, else the state's block
+    block[start] = -1
+    order = [start]  # BFS order, which doubles as the reachable set
+    for q in order:
         for j, t in enumerate(delta[q * k:q * k + k]):
             if t >= 0:
                 pre[t * k + j].append(q)
-                if t not in reach:
-                    reach.add(t)
-                    stack.append(t)
-    final = reach.intersection(dfa.accepting)
-    live, stack = set(final), list(final)  # co-accessible, by one reverse search
-    while stack:
-        t = stack.pop()
+                if block[t] == -2:
+                    block[t] = -1
+                    order.append(t)
+    live = [q for q in order if q in dfa.accepting]  # block 0, then block 1
+    final = len(live)
+    for q in live:
+        block[q] = 0
+    for t in live:  # co-accessible states, by one reverse search
         for sources in pre[t * k:t * k + k]:
             for s in sources:
-                if s not in live:
-                    live.add(s)
-                    stack.append(s)
-    if dfa.start not in live:
-        return empty_language_dfa(dfa.alphabet)
+                if block[s] == -1:
+                    block[s] = 1
+                    live.append(s)
+    if block[start] < 0:
+        empty = empty_language_dfa(dfa.alphabet)
+        return dfa if dfa == empty else empty
 
-    blocks = [b for b in (final, live - final) if b]
-    block = {q: i for i, b in enumerate(blocks) for q in b}  # dead states have none
-    waiting = set(range(len(blocks)))
-    while waiting:
-        splitter = list(blocks[waiting.pop()])
+    blocks = [set(live[:final]), set(live[final:])] if final < len(live) else [set(live)]
+    waiting = list(range(len(blocks)))  # LIFO
+    queued = [True] * len(blocks)
+    while waiting and len(blocks) < len(live):
+        b = waiting.pop()
+        queued[b] = False
+        splitter = list(blocks[b])
         for j in range(k):
             hit: dict[int, list[int]] = {}
             for t in splitter:
                 for s in pre[t * k + j]:
-                    if s in block:
-                        hit.setdefault(block[s], []).append(s)
+                    c = block[s]
+                    if c >= 0:
+                        hit.setdefault(c, []).append(s)
             for c, moved in hit.items():
                 rest = blocks[c]
                 if len(moved) < len(rest):
                     rest.difference_update(moved)
-                    block.update(dict.fromkeys(moved, len(blocks)))
+                    new = len(blocks)
+                    for s in moved:
+                        block[s] = new
                     blocks.append(set(moved))
-                    waiting.add(len(blocks) - 1 if c in waiting or len(moved) <= len(rest) else c)
+                    queued.append(False)
+                    push = new if queued[c] or len(moved) <= len(rest) else c
+                    queued[push] = True
+                    waiting.append(push)
 
-    number = {block[dfa.start]: 0}  # block -> quotient state, in BFS order
-    reps = [dfa.start]
+    if len(blocks) == dfa.state_count and order == list(range(len(order))):
+        return dfa  # every state is its own block, numbered as the BFS numbers it
+    number = [-1] * len(blocks)  # block -> quotient state, in BFS order
+    number[block[start]] = 0
+    reps = [start]
     table = []
     for q in reps:
         for t in delta[q * k:q * k + k]:
-            c = block.get(t)  # None for -1 and for dead states
-            if c is None:
+            c = block[t] if t >= 0 else -1
+            if c < 0:  # undefined, or into a dead state
                 table.append(-1)
                 continue
-            if c not in number:
-                number[c] = len(reps)
+            i = number[c]
+            if i < 0:
+                i = number[c] = len(reps)
                 reps.append(t)
-            table.append(number[c])
+            table.append(i)
     accepting = frozenset(i for i, q in enumerate(reps) if q in dfa.accepting)
     return PartialDfa.from_table(dfa.alphabet, len(reps), 0, accepting, table)
 
@@ -138,6 +156,8 @@ def pair_equivalent(a: PartialDfa, b: PartialDfa) -> bool:
     """
     if a.alphabet != b.alphabet:
         raise ValueError("cannot compare DFAs over different alphabets")
+    if a is b:
+        return True
     k = len(a.alphabet)
     dead = (-1,) * k  # the last row, which state -1 indexes
     ta, tb = a.table + dead, b.table + dead

@@ -211,34 +211,31 @@ def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
     """
     cap = max_states + 1
     _check_limits(cap, alphabet)
-    # minimal DFA -> [its rendering, min states, min total, per-symbol minima]
+    # minimal DFA -> [its rendering, [min states, min total, per-symbol minima...]]
     groups: dict[PartialDfa, list] = {}
     checked = 0
     bad: list[str] = []
+    table = None
     for a in _all_dfas(cap, alphabet):
         checked += 1
         m = canonicalize(minimize(a))
         if not pair_equivalent(a, m):
             bad.append("minimize() changed the language of:\n" + render_dfa(a))
             continue
-        counts = transition_counts(a)
+        if a.table is not table:  # the enumerator hands one table to 2^n DFAs in a row
+            table = a.table
+            counts = transition_counts(a)
+            sizes = [a.state_count, counts.total, *(counts.per_symbol[sym] for sym in alphabet)]
         g = groups.get(m)
         if g is None:
-            groups[m] = [render_dfa(m), a.state_count, counts.total, dict(counts.per_symbol)]
-        else:
-            g[1] = min(g[1], a.state_count)
-            g[2] = min(g[2], counts.total)
-            per = g[3]
-            for sym, c in counts.per_symbol.items():
-                if c < per[sym]:
-                    per[sym] = c
+            groups[m] = [render_dfa(m), sizes]
+        elif sizes != g[1]:
+            g[1] = [*map(min, g[1], sizes)]
 
-    languages = 0
-    for m, (key, min_states, min_total, min_per) in sorted(groups.items(), key=lambda g: g[1][0]):
-        if m.state_count > max_states:
-            # language only exists at the padding layer; out of scope
-            continue
-        languages += 1
+    # languages past max_states exist only at the padding layer: out of scope
+    in_scope = [(key, sizes, m) for m, (key, sizes) in groups.items() if m.state_count <= max_states]
+    in_scope.sort(key=lambda g: g[0])
+    for key, (min_states, min_total, *min_per), m in in_scope:
         mc = transition_counts(m)
         if m.state_count != min_states:
             bad.append(
@@ -250,23 +247,23 @@ def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
                 f"total transitions: minimize() gives {mc.total}, "
                 f"but {min_total} are achievable for:\n{key}"
             )
-        for sym in alphabet:
-            if mc.per_symbol[sym] != min_per[sym]:
+        for sym, least in zip(alphabet, min_per):
+            if mc.per_symbol[sym] != least:
                 bad.append(
                     f"{sym!r}-transitions: minimize() gives {mc.per_symbol[sym]}, "
-                    f"but {min_per[sym]} are achievable for:\n{key}"
+                    f"but {least} are achievable for:\n{key}"
                 )
             undefined = m.state_count - mc.per_symbol[sym]
-            if undefined != min_states - min_per[sym]:
+            if undefined != min_states - least:
                 bad.append(
                     f"undefined-count identity fails on {sym!r}: "
                     f"{undefined} undefined moves vs sc - tc_{sym} = "
-                    f"{min_states - min_per[sym]} for:\n{key}"
+                    f"{min_states - least} for:\n{key}"
                 )
     return Lemma1Report(
         max_states=max_states,
         alphabet=alphabet,
         dfas_checked=checked,
-        languages=languages,
+        languages=len(in_scope),
         counterexamples=tuple(bad),
     )

@@ -44,6 +44,13 @@ def test_alphabet_iteration_order():
     assert a.index("a") == 1
 
 
+def test_a_foreign_symbol_is_named_in_the_error():
+    d = union_symbol_witness(3, 1)  # alphabet b c
+    for lookup in (lambda: d.alphabet.index("z"), lambda: d.step(0, "z"), lambda: accepts(d, "bz")):
+        with pytest.raises(ValueError, match=r"^symbol 'z' not in alphabet$"):
+            lookup()
+
+
 def test_validate_clean_dfa():
     d = union_symbol_witness(3, 1)
     assert PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, d.transitions) == d

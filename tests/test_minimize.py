@@ -215,9 +215,38 @@ def disagreements(minimizer, dfas) -> list[PartialDfa]:
     return [d for d in dfas if minimizer(d) != moore_minimize(d)]
 
 
+def _relabeled(d: PartialDfa) -> PartialDfa:
+    """``d`` with the states after its start numbered in reverse, which
+    leaves a canonically numbered machine of 3 or more states not canonical."""
+    n = d.state_count
+    perm = [0, *range(n - 1, 0, -1)]
+    moves = {(perm[q], sym): perm[t] for (q, sym), t in d.transitions.items()}
+    return PartialDfa(d.alphabet, n, 0, {perm[q] for q in d.accepting}, moves)
+
+
+def _small_dfas(max_states: int, symbols: str) -> list[PartialDfa]:
+    """Every connected DFA up to ``max_states``, numbered canonically and relabeled."""
+    dfas = list(_all_dfas(max_states, Alphabet(symbols)))
+    return dfas + [_relabeled(d) for d in dfas]
+
+
 @pytest.mark.parametrize("max_states, symbols", [(3, "ab"), (6, "b")])
 def test_minimize_matches_moore_on_every_small_dfa(max_states, symbols):
-    assert disagreements(minimize, _all_dfas(max_states, Alphabet(symbols))) == []
+    assert disagreements(minimize, _small_dfas(max_states, symbols)) == []
+
+
+def test_minimize_returns_a_minimal_machine_itself():
+    for d in _all_dfas(3, Alphabet("ab")):
+        m = minimize(d)
+        assert minimize(m) is m
+        assert (m is d) == (m == d)
+
+
+@pytest.mark.parametrize(
+    "d", [epsilon_lang(), unary_cycle(3), union_symbol_witness(3, 1), empty_language_dfa(Alphabet("ab"))]
+)
+def test_a_machine_is_pair_equivalent_to_itself(d):
+    assert pair_equivalent(d, d)
 
 
 @given(partial_dfas())
@@ -263,11 +292,18 @@ def _one_wrong_merge(d: PartialDfa) -> PartialDfa:
     return canonicalize(PartialDfa(m.alphabet, last, 0, frozenset(map(fold, m.accepting)), transitions))
 
 
-@pytest.mark.parametrize("mutant", [_never_merges, _one_wrong_merge])
+def _returns_input_when_nothing_merges(d: PartialDfa) -> PartialDfa:
+    """Returns ``d`` itself whenever it starts at 0 and minimization keeps
+    every state, without checking that ``d`` is numbered canonically."""
+    m = minimize(d)
+    return d if d.start == 0 and m.state_count == d.state_count else m
+
+
+@pytest.mark.parametrize("mutant", [_never_merges, _one_wrong_merge, _returns_input_when_nothing_merges])
 def test_differential_check_catches_a_broken_minimizer(mutant):
     """The never-merging mutant keeps every language, so the language check
-    in ``verify_lemma1`` passes it; comparing minimal forms rejects both."""
-    dfas = list(_all_dfas(3, Alphabet("ab")))
+    in ``verify_lemma1`` passes it; comparing minimal forms rejects all three."""
+    dfas = _small_dfas(3, "ab")
     assert disagreements(mutant, dfas)
     if mutant is _never_merges:
         assert all(pair_equivalent(d, mutant(d)) for d in dfas)

@@ -191,3 +191,23 @@ def test_lemma1_catches_a_broken_minimizer(monkeypatch):
     assert not report.ok
     assert report.counterexamples
     assert any("changed the language" in c for c in report.counterexamples)
+
+
+def test_lemma1_bookkeeping_does_not_depend_on_order(monkeypatch):
+    """The stream reversed, largest machines first, and every table a fresh
+    tuple: the per-table counts and the per-language minima still agree."""
+    import pdfa.oracle as oracle_mod
+
+    alphabet = Alphabet("ab")
+    expected = verify_lemma1(2, alphabet)
+    stream = list(oracle_mod._all_dfas(3, alphabet))
+
+    def reversed_stream(max_states, alphabet):
+        assert max_states == 3
+        for d in reversed(stream):
+            yield PartialDfa.from_table(d.alphabet, d.state_count, d.start, d.accepting, list(d.table))
+
+    monkeypatch.setattr(oracle_mod, "_all_dfas", reversed_stream)
+    report = oracle_mod.verify_lemma1(2, alphabet)
+    assert report == expected
+    assert report.ok and report.dfas_checked == 6716
