@@ -229,11 +229,11 @@ def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
         g = groups.get(m)
         if g is None:
             groups[m] = [render_dfa(m), sizes]
-        elif sizes != g[1]:
+        else:
             g[1] = [*map(min, g[1], sizes)]
 
     # languages past max_states exist only at the padding layer: out of scope
-    in_scope = [(key, sizes, m) for m, (key, sizes) in groups.items() if m.state_count <= max_states]
+    in_scope = [(key, minima, m) for m, (key, minima) in groups.items() if m.state_count <= max_states]
     in_scope.sort(key=lambda g: g[0])
     for key, (min_states, min_total, *min_per), m in in_scope:
         mc = transition_counts(m)
