@@ -12,15 +12,12 @@ from .core import (
     PartialDfa,
     TransitionCounts,
     accepts,
-    coaccessible,
     empty_language_dfa,
     is_connected,
     parse_dfa,
-    reachable,
     render_dfa,
     render_dot,
     transition_counts,
-    trim,
 )
 from .minimize import (
     ComplexityReport,
@@ -31,7 +28,6 @@ from .minimize import (
     pair_equivalent,
 )
 from .oracle import (
-    EnumerationCursor,
     Lemma1Report,
     OracleResult,
     brute_min_transitions,
@@ -40,7 +36,6 @@ from .oracle import (
 )
 from .witnesses import (
     WitnessFamily,
-    WitnessSpec,
     build_witness,
     chain_star_witness,
     epsilon_lang,
@@ -55,19 +50,16 @@ __all__ = [
     "Alphabet",
     "ComplexityReport",
     "DfaParseError",
-    "EnumerationCursor",
     "Lemma1Report",
     "OracleResult",
     "PartialDfa",
     "TransitionCounts",
     "WitnessFamily",
-    "WitnessSpec",
     "accepts",
     "brute_min_transitions",
     "build_witness",
     "canonicalize",
     "chain_star_witness",
-    "coaccessible",
     "complement",
     "complexity",
     "empty_language_dfa",
@@ -79,11 +71,9 @@ __all__ = [
     "minimize",
     "pair_equivalent",
     "parse_dfa",
-    "reachable",
     "render_dfa",
     "render_dot",
     "transition_counts",
-    "trim",
     "unary_cycle",
     "unary_singleton",
     "union_multi_witness",

@@ -74,9 +74,11 @@ def union_symbol_upper(tb1: int, tb2: int, s1: int, s2: int) -> int:
 
 
 def union_state_upper(n1: int, n2: int) -> int:
-    """State bound for the union: n1*n2 + n1 + n2."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"state counts must be at least 1, got {n1}, {n2}")
+    """The union polynomial n1*n2 + n1 + n2: the state bound for the union,
+    and the conjectured transition bound for it (plausible for tc >= 2;
+    known to fail below that, see the conjecture-small check)."""
+    if n1 < 0 or n2 < 0:
+        raise ValueError(f"counts must be non-negative, got {n1}, {n2}")
     return n1 * n2 + n1 + n2
 
 
@@ -89,12 +91,6 @@ def union_total_lower(t1: int, t2: int) -> int:
     """Worst-case lower bound on tc of a union: t1*t2 + t1 + t2 - 1; also
     the upper bound when every cycle-symbol move is defined."""
     return t1 * t2 + t1 + t2 - 1
-
-
-def conjecture_bound(t1: int, t2: int) -> int:
-    """The conjectured union bound t1*t2 + t1 + t2 (plausible for tc >= 2;
-    known to fail below that, see the conjecture-small check)."""
-    return t1 * t2 + t1 + t2
 
 
 def unary_union_upper(t1: int, t2: int) -> int:
@@ -448,7 +444,7 @@ def _conjecture_small(m: int) -> Outcome:
     t_chain = complexity(chain).tc
     mdfa, measured, _per = _measured(union_product(eps, chain))
     expected = m + 2 if m >= 2 else 1  # m = 1: a* union {eps} is just a*
-    conjectured = conjecture_bound(t_eps, t_chain)
+    conjectured = union_state_upper(t_eps, t_chain)
     premise = t_eps == 0 and t_chain == m
     if not premise or measured != expected:
         note = f"expected trio (0, {m}, {expected}), measured ({t_eps}, {t_chain}, {measured})"

@@ -25,7 +25,7 @@ from .bounds import (
 from .core import Alphabet, DfaParseError, PartialDfa, parse_dfa, render_dfa, render_dot, transition_counts
 from .minimize import complexity, equivalent, minimize
 from .oracle import brute_min_transitions, verify_lemma1
-from .witnesses import WitnessFamily, WitnessSpec, build_witness
+from .witnesses import WitnessFamily, build_witness
 
 
 def _load(path: str) -> PartialDfa:
@@ -98,8 +98,8 @@ _WITNESS_PARAMS = tuple(
 )
 
 
-def _witness_spec(args: argparse.Namespace) -> WitnessSpec:
-    """The family's parameters from the flags given; defaults are the constructors'."""
+def _witness(args: argparse.Namespace) -> PartialDfa:
+    """The family's witness from the flags given; defaults are the constructors'."""
     family = WitnessFamily(args.family)
     required, optional = _WITNESS_FLAGS[family]
     params = {
@@ -121,11 +121,11 @@ def _witness_spec(args: argparse.Namespace) -> WitnessSpec:
                 raise ValueError(f"--loop expects SYMBOL=COUNT, got {item!r}")
             k_map[sym] = int(count)
         params["k_map"] = k_map
-    return WitnessSpec(family, params)
+    return build_witness(family, params)
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    dfa = build_witness(_witness_spec(args))
+    dfa = _witness(args)
     text = render_dfa(dfa)
     if args.out:
         _write(args.out, text)

@@ -11,7 +11,7 @@ is a view derived from the table.
 
 States are always ``0 .. state_count-1`` and the alphabet ordering is
 significant -- it fixes the table's columns and with them traversal
-order for trimming, canonical numbering, rendering and enumeration, so
+order for canonical numbering, rendering and enumeration, so
 equal languages produce byte-identical artifacts.
 """
 
@@ -31,7 +31,7 @@ class DfaParseError(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered, duplicate-free tuple of single-character symbols."""
+    """Ordered, duplicate-free tuple of single non-whitespace characters."""
 
     symbols: tuple[str, ...]
 
@@ -43,6 +43,8 @@ class Alphabet:
         for s in syms:
             if not isinstance(s, str) or len(s) != 1:
                 raise ValueError(f"alphabet symbols must be single characters, got {s!r}")
+            if s.isspace():  # the .pdfa format splits lines on whitespace
+                raise ValueError(f"alphabet symbols must not be whitespace, got {s!r}")
         if len(set(syms)) != len(syms):
             raise ValueError("alphabet symbols must be distinct")
 
@@ -126,18 +128,8 @@ class PartialDfa:
         """The defined moves as a fresh ``(state, symbol) -> state`` dict."""
         return {(src, sym): dst for src, sym, dst in _moves(self.alphabet, self.table)}
 
-    def step(self, state: int, symbol: str) -> int | None:
-        """Target of the ``symbol`` move from ``state``, or None if undefined."""
-        if not 0 <= state < self.state_count:
-            raise ValueError(f"state {state} out of range 0..{self.state_count - 1}")
-        t = self.table[state * len(self.alphabet) + self.alphabet.index(symbol)]
-        return None if t < 0 else t
-
     def is_complete(self) -> bool:
         return -1 not in self.table
-
-    def states(self) -> range:
-        return range(self.state_count)
 
 
 def _moves(alphabet: Alphabet, table: tuple[int, ...]) -> Iterator[tuple[int, str, int]]:
@@ -194,8 +186,8 @@ def accepts(dfa: PartialDfa, word: str) -> bool:
     return state in dfa.accepting
 
 
-def reachable(dfa: PartialDfa) -> frozenset[int]:
-    """States reachable from the start via defined transitions (BFS)."""
+def is_connected(dfa: PartialDfa) -> bool:
+    """True when every state is reachable from the start state (BFS)."""
     k, table = len(dfa.alphabet), dfa.table
     seen = {dfa.start}
     queue = [dfa.start]
@@ -204,29 +196,7 @@ def reachable(dfa: PartialDfa) -> frozenset[int]:
             if t >= 0 and t not in seen:
                 seen.add(t)
                 queue.append(t)
-    return frozenset(seen)
-
-
-def coaccessible(dfa: PartialDfa) -> frozenset[int]:
-    """States from which some accepting state is reachable."""
-    k = len(dfa.alphabet)
-    rev: dict[int, list[int]] = {}
-    for i, t in enumerate(dfa.table):
-        if t >= 0:
-            rev.setdefault(t, []).append(i // k)
-    seen = set(dfa.accepting)
-    queue = list(seen)
-    for q in queue:
-        for src in rev.get(q, ()):
-            if src not in seen:
-                seen.add(src)
-                queue.append(src)
-    return frozenset(seen)
-
-
-def is_connected(dfa: PartialDfa) -> bool:
-    """True when every state is reachable from the start state."""
-    return len(reachable(dfa)) == dfa.state_count
+    return len(seen) == dfa.state_count
 
 
 def empty_language_dfa(alphabet: Alphabet) -> PartialDfa:
@@ -234,19 +204,18 @@ def empty_language_dfa(alphabet: Alphabet) -> PartialDfa:
     return PartialDfa.from_table(alphabet, 1, 0, frozenset(), (-1,) * len(alphabet))
 
 
-def _renumbered(dfa: PartialDfa, keep: frozenset[int] | None = None) -> PartialDfa:
-    """Renumber by one BFS from the start through ``keep`` (default: every
-    state), dropping what it does not reach.  Ties are broken by alphabet
-    order, which makes the numbering (and every artifact) deterministic.
-    Returns ``dfa`` itself when the numbering is the identity and nothing
-    is dropped."""
+def _renumbered(dfa: PartialDfa) -> PartialDfa:
+    """Renumber by one BFS from the start, dropping what it does not reach.
+    Ties are broken by alphabet order, which makes the numbering (and every
+    artifact) deterministic.  Returns ``dfa`` itself when the numbering is
+    the identity and nothing is dropped."""
     k, table = len(dfa.alphabet), dfa.table
     order = {dfa.start: 0}
     queue = [dfa.start]
     out = []
     for q in queue:
         for t in table[q * k:q * k + k]:
-            if t < 0 or (keep is not None and t not in keep):
+            if t < 0:
                 out.append(-1)
                 continue
             dst = order.get(t)
@@ -259,19 +228,6 @@ def _renumbered(dfa: PartialDfa, keep: frozenset[int] | None = None) -> PartialD
         return dfa
     accepting = frozenset(order[q] for q in dfa.accepting if q in order)
     return PartialDfa.from_table(dfa.alphabet, len(order), 0, accepting, out)
-
-
-def trim(dfa: PartialDfa) -> PartialDfa:
-    """Restrict to reachable-and-coaccessible states, renumbered by BFS.
-
-    If nothing useful survives (the language is empty) the canonical
-    single-state empty recognizer is returned, so the empty language has
-    exactly one trim form.
-    """
-    keep = reachable(dfa) & coaccessible(dfa)
-    if dfa.start not in keep:
-        return empty_language_dfa(dfa.alphabet)
-    return _renumbered(dfa, keep)
 
 
 def transition_counts(dfa: PartialDfa) -> TransitionCounts:

@@ -1,17 +1,19 @@
 """Brute-force enumeration oracle for small partial DFAs.
 
 Exhaustively lists every connected canonical partial DFA up to a size
-cap and uses the list to certify, independently of the minimizer, that
-minimization really achieves the minimum total and per-symbol
-transition counts for every language at desk scale.
+cap and uses the list to check that minimization achieves the minimum
+total and per-symbol transition counts for every language at desk
+scale.  ``brute_min_transitions`` trusts no minimizer.  ``verify_lemma1``
+groups machines by their ``minimize`` output, so it catches a minimizer
+that changes a language or misses a minimum, but passes one that never
+merges.
 
 Canonical enumeration trick: a connected DFA is a fixed point of
 breadth-first renumbering exactly when, scanning its transition table
 row-major (state by state, symbols in alphabet order), states make
 their first appearance in increasing order.  Generating only such
 tables yields each isomorphism class exactly once -- no hashing, no
-post-hoc dedup -- and the generation order is a total order, which is
-what makes sharded runs recombine deterministically.
+post-hoc dedup -- in a total, size-ordered order.
 """
 
 from __future__ import annotations
@@ -87,54 +89,6 @@ def enumerate_dfas(max_states: int, alphabet: Alphabet) -> Iterator[PartialDfa]:
 
 
 @dataclass(frozen=True)
-class EnumerationCursor:
-    """Resumable, shardable position in the canonical enumeration.
-
-    ``shard = (index, count)`` selects every count-th DFA starting at
-    offset index; ``position`` skips the global prefix.  Iteration
-    order never depends on how the stream was sharded, so concurrent
-    workers can split a cursor and their merged output (sorted by
-    position) is identical to the unsharded stream.
-    """
-
-    max_states: int
-    alphabet: Alphabet
-    position: int = 0
-    shard: tuple[int, int] = (0, 1)
-
-    def __post_init__(self):
-        _check_limits(self.max_states, self.alphabet)
-        index, count = self.shard
-        if count < 1 or not 0 <= index < count:
-            raise ValueError(f"shard must satisfy 0 <= index < count, got {self.shard}")
-        if self.position < 0:
-            raise ValueError(f"position must be non-negative, got {self.position}")
-
-    def __iter__(self) -> Iterator[PartialDfa]:
-        for pos, dfa in self.items():
-            yield dfa
-
-    def items(self) -> Iterator[tuple[int, PartialDfa]]:
-        """(global position, DFA) pairs belonging to this shard."""
-        index, count = self.shard
-        for pos, dfa in enumerate(_all_dfas(self.max_states, self.alphabet)):
-            if pos >= self.position and pos % count == index:
-                yield pos, dfa
-
-    def split(self, count: int) -> tuple["EnumerationCursor", ...]:
-        """Partition this cursor's stream into ``count`` interleaved shards."""
-        if count < 1:
-            raise ValueError(f"split count must be at least 1, got {count}")
-        index, old = self.shard
-        return tuple(
-            EnumerationCursor(
-                self.max_states, self.alphabet, self.position, (index + j * old, old * count)
-            )
-            for j in range(count)
-        )
-
-
-@dataclass(frozen=True)
 class OracleResult:
     """Exhaustively certified minima for one language."""
 
@@ -147,25 +101,27 @@ def brute_min_transitions(target: PartialDfa, max_states: int = 0) -> OracleResu
     """Minimum total and per-symbol transition counts over all DFAs
     with at most ``max_states`` states recognizing L(target).
 
-    ``max_states = 0`` picks sc(L)+1 automatically -- one more state
+    ``max_states = 0`` searches up to sc(L)+1 states -- one more state
     than the minimal DFA, enough to certify that extra states buy
-    nothing.  Passing a cap smaller than sc(L) is rejected: that search
-    space provably contains no equivalent DFA at all.
+    nothing.  sc(L) is read off the size-ordered enumeration as the size
+    of the first equivalent DFA, so no minimizer is trusted.  A cap with
+    no equivalent DFA below it is rejected: it is under sc(L).
     """
-    m = minimize(target)
-    if max_states == 0:
-        max_states = m.state_count + 1
-    if m.state_count > max_states:
-        raise ValueError(
-            f"max_states={max_states} is below the language's state complexity "
-            f"{m.state_count}; no equivalent DFA fits"
-        )
+    alphabet = target.alphabet
+    _check_limits(max_states or 1, alphabet)
+    auto = max_states == 0
+    cap = _ENUM_LIMITS[len(alphabet)] if auto else max_states
     min_total: int | None = None
     min_per: dict[str, int] = {}
     witness: PartialDfa | None = None
-    for cand in enumerate_dfas(max_states, target.alphabet):
+    for cand in _all_dfas(cap, alphabet):
+        if cand.state_count > cap:
+            break
         if not pair_equivalent(cand, target):
             continue
+        if auto and witness is None:  # the first equivalent DFA is a minimal one
+            cap = cand.state_count + 1
+            _check_limits(cap, alphabet)
         counts = transition_counts(cand)
         if min_total is None or counts.total < min_total:
             min_total = counts.total
@@ -173,7 +129,11 @@ def brute_min_transitions(target: PartialDfa, max_states: int = 0) -> OracleResu
         for sym, c in counts.per_symbol.items():
             if sym not in min_per or c < min_per[sym]:
                 min_per[sym] = c
-    assert min_total is not None and witness is not None  # m itself is enumerated
+    if witness is None:
+        raise ValueError(
+            f"no DFA with at most {cap} states recognizes the language: "
+            f"its state complexity is above {cap}"
+        )
     return OracleResult(min_total=min_total, min_per_symbol=min_per, witness_dfa=witness)
 
 
@@ -196,18 +156,19 @@ def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
     """Certify the minimizer against brute force, language by language.
 
     Enumerates every connected canonical partial DFA with up to
-    max_states+1 states, groups them by language, and checks for each
-    language whose minimal DFA fits in max_states that minimize()
+    max_states+1 states, groups them by minimize() output, and checks for
+    each group whose minimal DFA fits in max_states that minimize()
     simultaneously achieves the group's minimum state count, total
     transition count, and per-symbol transition counts, and that the
     minimal DFA's undefined-move count per symbol equals sc minus the
     certified per-symbol minimum.
 
-    The grouping key is the canonical minimal DFA, but its correctness
-    is not assumed: every enumerated DFA is first checked, by
-    minimization-free pair exploration, to still recognize its
-    minimize()'s language.  A minimizer bug therefore cannot silently
-    corrupt the grouping -- it surfaces as a counterexample here.
+    Groups are keyed by minimize()'s canonical output.  Every enumerated
+    DFA is checked, by minimization-free pair exploration, to recognize
+    the language of its key, so a minimizer that changes a language
+    surfaces as a counterexample.  The key is not independent of the
+    minimizer, though: one that never merges splits a language into
+    several groups, each of which it then meets, and it passes.
     """
     cap = max_states + 1
     _check_limits(cap, alphabet)

@@ -10,7 +10,6 @@ transitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -25,17 +24,6 @@ class WitnessFamily(Enum):
     UNARY_SINGLETON = "unary-singleton"
     CHAIN_STAR = "chain-star"
     EPSILON = "epsilon"
-
-
-@dataclass(frozen=True)
-class WitnessSpec:
-    """A family plus its parameters; ``build_witness`` turns it into a DFA."""
-
-    family: WitnessFamily
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", dict(self.params))
 
 
 def _default_alphabet(*symbols: str) -> Alphabet:
@@ -156,8 +144,8 @@ def epsilon_lang(alphabet: Alphabet | None = None) -> PartialDfa:
     return PartialDfa(alphabet, 1, 0, frozenset({0}), {})
 
 
-def build_witness(spec: WitnessSpec) -> PartialDfa:
-    """Dispatch a WitnessSpec to its family constructor.
+def build_witness(family: WitnessFamily, params: Mapping[str, object] = {}) -> PartialDfa:
+    """Build the ``family`` witness from its constructor's keyword ``params``.
 
     Unknown or missing parameters surface as TypeError/ValueError from
     the constructors, which the CLI maps to input errors.
@@ -171,4 +159,4 @@ def build_witness(spec: WitnessSpec) -> PartialDfa:
         WitnessFamily.CHAIN_STAR: chain_star_witness,
         WitnessFamily.EPSILON: epsilon_lang,
     }
-    return builders[spec.family](**spec.params)
+    return builders[family](**params)

@@ -3,14 +3,79 @@
 Trim, route every undefined move to a fresh rejecting sink, refine the
 partition to Nerode classes one distinguishing depth per round (Moore,
 "Gedanken-experiments on sequential machines", 1956), delete the dead
-class, renumber canonically.  It shares no refinement code with
-``minimize``, which never builds a sink.  It is quadratic on long chains
-and cycles, so tests run it on machines of at most a few hundred states.
+class, renumber canonically.  It shares no code with ``minimize``, which
+never builds a sink: the trimming and renumbering below are its own.  It
+is quadratic on long chains and cycles, so tests run it on machines of
+at most a few hundred states.
 """
 
 from __future__ import annotations
 
-from pdfa import PartialDfa, canonicalize, trim
+from pdfa import PartialDfa
+
+
+def reachable(dfa: PartialDfa) -> frozenset[int]:
+    """States reachable from the start via defined transitions."""
+    moves = dfa.transitions
+    seen = {dfa.start}
+    stack = [dfa.start]
+    while stack:
+        q = stack.pop()
+        for sym in dfa.alphabet:
+            t = moves.get((q, sym))
+            if t is not None and t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return frozenset(seen)
+
+
+def coaccessible(dfa: PartialDfa) -> frozenset[int]:
+    """States from which some accepting state is reachable."""
+    sources: dict[int, list[int]] = {}
+    for (src, _sym), dst in dfa.transitions.items():
+        sources.setdefault(dst, []).append(src)
+    seen = set(dfa.accepting)
+    stack = list(seen)
+    while stack:
+        for src in sources.get(stack.pop(), ()):
+            if src not in seen:
+                seen.add(src)
+                stack.append(src)
+    return frozenset(seen)
+
+
+def restrict(dfa: PartialDfa, keep: frozenset[int]) -> PartialDfa:
+    """Keep the states in ``keep`` that the start reaches through them,
+    numbered by breadth-first discovery with successors in alphabet order
+    (the canonical numbering of ``pdfa.canonicalize``)."""
+    moves = dfa.transitions
+    order = {dfa.start: 0}
+    queue = [dfa.start]
+    transitions = {}
+    for q in queue:
+        for sym in dfa.alphabet:
+            t = moves.get((q, sym))
+            if t is None or t not in keep:
+                continue
+            if t not in order:
+                order[t] = len(order)
+                queue.append(t)
+            transitions[(order[q], sym)] = order[t]
+    accepting = frozenset(order[q] for q in dfa.accepting if q in order)
+    return PartialDfa(dfa.alphabet, len(order), 0, accepting, transitions)
+
+
+def trim(dfa: PartialDfa) -> PartialDfa:
+    """Restrict to reachable-and-coaccessible states, renumbered by BFS.
+
+    If nothing useful survives (the language is empty) the single bare
+    rejecting state is returned, so the empty language has exactly one
+    trim form.
+    """
+    keep = reachable(dfa) & coaccessible(dfa)
+    if dfa.start not in keep:
+        return PartialDfa(dfa.alphabet, 1, 0, frozenset(), {})
+    return restrict(dfa, keep)
 
 
 def complete_with_sink(dfa: PartialDfa) -> tuple[PartialDfa, int | None]:
@@ -82,4 +147,4 @@ def moore_minimize(dfa: PartialDfa) -> PartialDfa:
         frozenset(index[cls[q]] for q in complete.accepting),
         transitions,
     )
-    return canonicalize(quotient)
+    return restrict(quotient, frozenset(range(quotient.state_count)))

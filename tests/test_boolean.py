@@ -10,7 +10,6 @@ from pdfa import (
     equivalent,
     intersection_product,
     minimize,
-    reachable,
     transition_counts,
     union_product,
 )
@@ -24,6 +23,7 @@ from pdfa.witnesses import (
 )
 
 from conftest import MALFORMED, dfa_pairs, language, partial_dfas, words
+from moore import reachable
 
 
 def test_union_of_epsilon_with_itself():

@@ -8,7 +8,6 @@ from pdfa.bounds import (
     Relation,
     check_bound,
     complement_upper,
-    conjecture_bound,
     intersection_upper,
     render_report_line,
     render_report_table,
@@ -46,11 +45,18 @@ def test_closed_form_values():
     assert union_state_upper(1, 1) == 3
     assert union_total_upper(3, 4) == 38
     assert union_total_lower(3, 4) == 18
-    assert conjecture_bound(0, 3) == 3
+    assert union_state_upper(0, 3) == 3  # also the conjectured tc bound, where 0 is a count
     assert unary_union_upper(3, 2) == 6
     assert intersection_upper(2, 3) == 6
     assert intersection_upper(4, 5) == 20
     assert complement_upper(2, 3) == 10
+
+
+def test_union_polynomial_rejects_negative_counts():
+    with pytest.raises(ValueError):
+        union_state_upper(-1, 3)
+    with pytest.raises(ValueError):
+        union_state_upper(2, -1)
 
 
 def test_unary_bound_guards_small_inputs():
@@ -162,7 +168,7 @@ def test_conjecture_small_counterexample_trio():
     rep = check_bound(BoundId.CONJECTURE_SMALL, {"m": 3})
     assert rep.relation is Relation.EQUAL
     assert rep.measured_value == 5
-    assert rep.measured_value > conjecture_bound(0, 3)
+    assert rep.measured_value > union_state_upper(0, 3)
     assert "counterexample holds" in rep.note
 
 

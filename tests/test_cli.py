@@ -154,6 +154,21 @@ def test_write_errors_exit_2(command, witness_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {missing}")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "epsilon", "--alphabet", " a"],
+        ["oracle", "verify-lemma1", "--max-states", "1", "--alphabet", "a\t"],
+    ],
+)
+def test_whitespace_alphabet_symbols_exit_2(argv, capsys):
+    # "alphabet   a" would parse back as the alphabet a alone
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "whitespace" in captured.err
+
+
 def test_witness_bad_loop_syntax(capsys):
     assert main(["witness", "union-multi", "--n", "3", "--loop", "ab3"]) == 2
     assert "SYMBOL=COUNT" in capsys.readouterr().err

@@ -6,19 +6,17 @@ from pdfa import (
     DfaParseError,
     PartialDfa,
     accepts,
-    coaccessible,
     empty_language_dfa,
     is_connected,
     parse_dfa,
-    reachable,
     render_dfa,
     render_dot,
     transition_counts,
-    trim,
 )
 from pdfa.witnesses import union_symbol_witness, unary_singleton
 
 from conftest import language, partial_dfas, words
+from moore import coaccessible, reachable, trim
 
 
 def test_alphabet_rejects_empty():
@@ -36,6 +34,13 @@ def test_alphabet_rejects_multichar_symbols():
         Alphabet(("ab",))
 
 
+@pytest.mark.parametrize("symbol", [" ", "\t", "\n"])
+def test_alphabet_rejects_whitespace_symbols(symbol):
+    # a whitespace symbol would not survive the .pdfa text format
+    with pytest.raises(ValueError, match="whitespace"):
+        Alphabet(("a", symbol))
+
+
 def test_alphabet_iteration_order():
     a = Alphabet("cab")
     assert list(a) == ["c", "a", "b"]
@@ -46,7 +51,7 @@ def test_alphabet_iteration_order():
 
 def test_a_foreign_symbol_is_named_in_the_error():
     d = union_symbol_witness(3, 1)  # alphabet b c
-    for lookup in (lambda: d.alphabet.index("z"), lambda: d.step(0, "z"), lambda: accepts(d, "bz")):
+    for lookup in (lambda: d.alphabet.index("z"), lambda: accepts(d, "bz")):
         with pytest.raises(ValueError, match=r"^symbol 'z' not in alphabet$"):
             lookup()
 
@@ -101,8 +106,8 @@ def test_table_agrees_with_its_dict_view(d):
     again = PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, moves)
     assert again == d and hash(again) == hash(d)
     assert parse_dfa(render_dfa(d)) == d
-    cells = [(q, sym) for q in d.states() for sym in d.alphabet]
-    assert [d.step(q, sym) for q, sym in cells] == [moves.get(cell) for cell in cells]
+    cells = [(q, sym) for q in range(d.state_count) for sym in d.alphabet]
+    assert [t if t >= 0 else None for t in d.table] == [moves.get(cell) for cell in cells]
     assert d.is_complete() == all(cell in moves for cell in cells)
     for word in words(d.alphabet, 4):
         state = d.start
@@ -140,6 +145,11 @@ def test_reachable_and_coaccessible():
     assert reachable(d) == frozenset({0, 1})
     assert coaccessible(d) == frozenset({0, 2})
     assert not is_connected(d)
+
+
+@given(partial_dfas())
+def test_is_connected_agrees_with_the_reference_search(d):
+    assert is_connected(d) == (reachable(d) == frozenset(range(d.state_count)))
 
 
 def test_trim_drops_useless_states():

@@ -13,7 +13,6 @@ from pdfa import (
     pair_equivalent,
     render_dfa,
     transition_counts,
-    trim,
     union_product,
 )
 from pdfa.bounds import sample_pairs
@@ -28,7 +27,7 @@ from pdfa.witnesses import (
 )
 
 from conftest import MALFORMED, dfa_pairs, language, partial_dfas
-from moore import complete_with_sink, moore_minimize
+from moore import complete_with_sink, moore_minimize, trim
 
 
 def test_complete_machine_gains_no_sink():
@@ -45,8 +44,8 @@ def test_completion_adds_looping_sink():
     assert completed.state_count == 4
     assert completed.is_complete()
     assert transition_counts(completed).total == 8
-    assert completed.step(sink, "b") == sink
-    assert completed.step(sink, "c") == sink
+    assert completed.transitions[(sink, "b")] == sink
+    assert completed.transitions[(sink, "c")] == sink
     assert sink not in completed.accepting
 
 

@@ -13,7 +13,6 @@ from pdfa import (
     render_dfa,
 )
 from pdfa.oracle import (
-    EnumerationCursor,
     brute_min_transitions,
     enumerate_dfas,
     verify_lemma1,
@@ -84,55 +83,6 @@ def test_enumeration_refuses_oversized_requests():
         enumerate_dfas(1, Alphabet("abcd"))
 
 
-def test_cursor_full_scan_matches_enumeration():
-    cur = EnumerationCursor(2, Alphabet("ab"))
-    items = list(cur.items())
-    assert [d for _, d in items] == list(enumerate_dfas(2, Alphabet("ab")))
-    assert [pos for pos, _ in items] == list(range(188))
-    assert list(cur) == [d for _, d in items]
-
-
-def test_cursor_resumes_from_position():
-    cur = EnumerationCursor(2, Alphabet("a"))
-    full = list(cur.items())
-    tail = list(EnumerationCursor(2, Alphabet("a"), position=10).items())
-    assert tail == full[10:]
-
-
-def test_cursor_sharding_partitions_the_stream():
-    cur = EnumerationCursor(2, Alphabet("ab"))
-    full = list(cur.items())
-    shards = cur.split(4)
-    assert len(shards) == 4
-    merged = sorted(
-        (pair for shard in shards for pair in shard.items()), key=lambda p: p[0]
-    )
-    assert merged == full
-    # Shards are disjoint by construction.
-    seen = [pos for shard in shards for pos, _ in shard.items()]
-    assert len(seen) == len(set(seen))
-
-
-def test_cursor_split_composes():
-    cur = EnumerationCursor(2, Alphabet("a"))
-    full = list(cur.items())
-    halves = cur.split(2)
-    quarters = [s for half in halves for s in half.split(2)]
-    merged = sorted(
-        (pair for shard in quarters for pair in shard.items()), key=lambda p: p[0]
-    )
-    assert merged == full
-
-
-def test_cursor_validates_parameters():
-    with pytest.raises(ValueError):
-        EnumerationCursor(2, Alphabet("a"), shard=(2, 2))
-    with pytest.raises(ValueError):
-        EnumerationCursor(2, Alphabet("a"), position=-1)
-    with pytest.raises(ValueError):
-        EnumerationCursor(2, Alphabet("a")).split(0)
-
-
 def test_brute_min_on_epsilon():
     res = brute_min_transitions(epsilon_lang(Alphabet("a")))
     assert res.min_total == 0
@@ -157,6 +107,23 @@ def test_brute_min_on_loop_cycle_witness():
 def test_brute_min_rejects_too_small_state_budget():
     with pytest.raises(ValueError):
         brute_min_transitions(union_symbol_witness(3, 1), max_states=2)
+
+
+def test_brute_min_does_not_trust_the_minimizer(monkeypatch):
+    """A minimizer that undercounts states cannot shrink the search: the
+    cap comes from the first equivalent DFA in the enumeration."""
+    import pdfa.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "minimize", lambda d: empty_language_dfa(d.alphabet))
+    res = oracle_mod.brute_min_transitions(union_symbol_witness(3, 1))
+    assert res.min_total == 4
+    assert res.min_per_symbol == {"b": 1, "c": 3}
+
+
+def test_brute_min_rejects_a_language_past_the_enumeration_cap():
+    # sc = 4 over {b, c}: auto mode would need 5 states, past the 4-state cap
+    with pytest.raises(ValueError, match="capped at 4 states"):
+        brute_min_transitions(union_symbol_witness(4, 1))
 
 
 def test_per_symbol_minima_can_beat_any_single_machine():

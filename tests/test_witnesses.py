@@ -5,7 +5,6 @@ import pytest
 from pdfa import Alphabet, PartialDfa, accepts, complexity, minimize
 from pdfa.witnesses import (
     WitnessFamily,
-    WitnessSpec,
     build_witness,
     chain_star_witness,
     epsilon_lang,
@@ -158,14 +157,12 @@ def test_all_witnesses_pass_validation():
 
 
 def test_build_witness_dispatch():
-    spec = WitnessSpec(WitnessFamily.UNION_SYMBOL, {"n": 3, "k": 1})
-    assert build_witness(spec) == union_symbol_witness(3, 1)
-    spec = WitnessSpec(WitnessFamily.EPSILON)
-    assert build_witness(spec) == epsilon_lang()
+    assert build_witness(WitnessFamily.UNION_SYMBOL, {"n": 3, "k": 1}) == union_symbol_witness(3, 1)
+    assert build_witness(WitnessFamily.EPSILON) == epsilon_lang()
 
 
 def test_build_witness_surfaces_bad_params():
     with pytest.raises(TypeError):
-        build_witness(WitnessSpec(WitnessFamily.UNARY_CYCLE, {"length": 3}))
+        build_witness(WitnessFamily.UNARY_CYCLE, {"length": 3})
     with pytest.raises(ValueError):
-        build_witness(WitnessSpec(WitnessFamily.UNION_SYMBOL, {"n": 2, "k": 2}))
+        build_witness(WitnessFamily.UNION_SYMBOL, {"n": 2, "k": 2})
