@@ -22,7 +22,7 @@ from .bounds import (
     render_report_table,
     run_suite,
 )
-from .core import Alphabet, DfaParseError, PartialDfa, parse_dfa, render_dfa, render_dot, transition_counts
+from .core import Alphabet, PartialDfa, parse_dfa, render_dfa, render_dot, transition_counts
 from .minimize import complexity, equivalent, minimize
 from .oracle import brute_min_transitions, verify_lemma1
 from .witnesses import WitnessFamily, build_witness
@@ -112,7 +112,7 @@ def _witness(args: argparse.Namespace) -> PartialDfa:
         if name not in params:
             raise ValueError(f"witness family {family.value!r} requires --{name}")
     if "alphabet" in params:
-        params["alphabet"] = Alphabet(tuple(params["alphabet"]))
+        params["alphabet"] = Alphabet(params["alphabet"])
     if family is WitnessFamily.UNION_MULTI:
         k_map = {}
         for item in params.pop("loop", []):
@@ -169,7 +169,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         _write(args.out, render_dfa(result.witness_dfa))
         return 0
     if args.oracle_cmd == "verify-lemma1":
-        report = verify_lemma1(args.max_states, Alphabet(tuple(args.alphabet)))
+        report = verify_lemma1(args.max_states, Alphabet(args.alphabet))
         verdict = "pass" if report.ok else "fail"
         print(
             f"verify-lemma1 max_states={report.max_states} "
@@ -264,9 +264,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DfaParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

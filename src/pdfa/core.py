@@ -29,37 +29,27 @@ class DfaParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(tuple):
     """Ordered, duplicate-free tuple of single non-whitespace characters."""
 
-    symbols: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        syms = tuple(self.symbols)
-        object.__setattr__(self, "symbols", syms)
-        if not syms:
+    def __new__(cls, symbols: Iterable[str]) -> Alphabet:
+        self = super().__new__(cls, symbols)
+        if not self:
             raise ValueError("alphabet must not be empty")
-        for s in syms:
+        for s in self:
             if not isinstance(s, str) or len(s) != 1:
                 raise ValueError(f"alphabet symbols must be single characters, got {s!r}")
             if s.isspace():  # the .pdfa format splits lines on whitespace
                 raise ValueError(f"alphabet symbols must not be whitespace, got {s!r}")
-        if len(set(syms)) != len(syms):
+        if len(set(self)) != len(self):
             raise ValueError("alphabet symbols must be distinct")
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __contains__(self, symbol: object) -> bool:
-        return symbol in self.symbols
+        return self
 
     def index(self, symbol: str) -> int:
         try:
-            return self.symbols.index(symbol)
+            return super().index(symbol)
         except ValueError:
             raise ValueError(f"symbol {symbol!r} not in alphabet") from None
 
@@ -87,7 +77,7 @@ class PartialDfa:
     def __init__(self, alphabet: Alphabet, state_count: int, start: int, accepting: Iterable[int],
                  transitions: Mapping[tuple[int, str], int] = {}):
         n, k = state_count, len(alphabet)
-        column = {sym: j for j, sym in enumerate(alphabet.symbols)}
+        column = {sym: j for j, sym in enumerate(alphabet)}
         table = [-1] * (n * k)
         for (src, sym), dst in transitions.items():
             j = column.get(sym)
@@ -134,8 +124,8 @@ class PartialDfa:
 
 def _moves(alphabet: Alphabet, table: tuple[int, ...]) -> Iterator[tuple[int, str, int]]:
     """The defined moves ``(src, symbol, dst)`` of a table, in table order."""
-    k, syms = len(alphabet), alphabet.symbols
-    return ((i // k, syms[i % k], t) for i, t in enumerate(table) if t != -1)
+    k = len(alphabet)
+    return ((i // k, alphabet[i % k], t) for i, t in enumerate(table) if t != -1)
 
 
 def _malformed(alphabet, n, start, accepting, moves) -> ValueError:
@@ -174,13 +164,11 @@ def accepts(dfa: PartialDfa, word: str) -> bool:
     Raises ValueError if the word uses a symbol outside the alphabet
     (checked up front, even past an undefined move).
     """
-    column = {sym: j for j, sym in enumerate(dfa.alphabet.symbols)}
-    for sym in word:
-        if sym not in column:
-            raise ValueError(f"symbol {sym!r} not in alphabet")
-    k, table, state = len(column), dfa.table, dfa.start
-    for sym in word:
-        state = table[state * k + column[sym]]
+    alphabet = dfa.alphabet
+    columns = [alphabet.index(sym) for sym in word]
+    k, table, state = len(alphabet), dfa.table, dfa.start
+    for j in columns:
+        state = table[state * k + j]
         if state < 0:
             return False
     return state in dfa.accepting
@@ -233,7 +221,7 @@ def _renumbered(dfa: PartialDfa) -> PartialDfa:
 def transition_counts(dfa: PartialDfa) -> TransitionCounts:
     """Count the defined transitions, in total and per symbol."""
     k, n, table = len(dfa.alphabet), dfa.state_count, dfa.table
-    per = {sym: n - table[j::k].count(-1) for j, sym in enumerate(dfa.alphabet.symbols)}
+    per = {sym: n - table[j::k].count(-1) for j, sym in enumerate(dfa.alphabet)}
     return TransitionCounts(total=sum(per.values()), per_symbol=per)
 
 
@@ -281,7 +269,7 @@ def parse_dfa(text: str) -> PartialDfa:
                 raise DfaParseError(lineno, f"expected {expected!r} line, got {tokens[0]!r}")
             if expected == "alphabet":
                 try:
-                    alphabet = Alphabet(tuple(tokens[1:]))
+                    alphabet = Alphabet(tokens[1:])
                 except ValueError as exc:
                     raise DfaParseError(lineno, str(exc)) from None
             elif expected == "states":

@@ -26,10 +26,6 @@ class WitnessFamily(Enum):
     EPSILON = "epsilon"
 
 
-def _default_alphabet(*symbols: str) -> Alphabet:
-    return Alphabet(tuple(sorted(set(symbols))))
-
-
 def union_symbol_witness(
     n: int, k: int, b: str = "b", c: str = "c", alphabet: Alphabet | None = None
 ) -> PartialDfa:
@@ -39,23 +35,15 @@ def union_symbol_witness(
     accepting state.  Requires 1 <= k < n (with k = n the b-loops cover
     the whole cycle and the per-symbol tightness argument collapses).
     """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if b == c:
-        raise ValueError("loop and cycle symbols must differ")
-    alphabet = alphabet or _default_alphabet(b, c)
-    if b not in alphabet or c not in alphabet:
-        raise ValueError(f"symbols {b!r}, {c!r} must be in the alphabet")
-    transitions: dict[tuple[int, str], int] = {(i, c): (i + 1) % n for i in range(n)}
-    for i in range(k):
-        transitions[(i, b)] = i
-    return PartialDfa(alphabet, n, 0, frozenset({0}), transitions)
+    return union_multi_witness(n, {b: k}, c, alphabet)
 
 
 def union_multi_witness(
     n: int, k_map: Mapping[str, int], c: str = "c", alphabet: Alphabet | None = None
 ) -> PartialDfa:
-    """Multi-symbol variant: one c-cycle, self-loop prefixes per symbol.
+    """One c-cycle with self-loop prefixes per symbol: the construction
+    behind ``union_symbol_witness``, ``union_total_witness`` and
+    ``unary_cycle``.
 
     For each symbol d in ``k_map``, states 0..k_map[d]-1 get d-self-loops,
     so the d-transition count is exactly k_map[d].  An empty map gives
@@ -68,7 +56,7 @@ def union_multi_witness(
             raise ValueError(f"self-loop symbol {d!r} clashes with the cycle symbol")
         if not 1 <= k < n:
             raise ValueError(f"symbol {d!r}: need 1 <= k < n, got k={k}, n={n}")
-    alphabet = alphabet or _default_alphabet(c, *k_map)
+    alphabet = alphabet or Alphabet(sorted({c, *k_map}))
     for d in (c, *k_map):
         if d not in alphabet:
             raise ValueError(f"symbol {d!r} must be in the alphabet")
@@ -91,23 +79,12 @@ def union_total_witness(
     """
     if n < 2:
         raise ValueError(f"cycle length must be at least 2, got {n}")
-    if loop_sym == cycle_sym:
-        raise ValueError("loop and cycle symbols must differ")
-    alphabet = alphabet or _default_alphabet(loop_sym, cycle_sym)
-    if loop_sym not in alphabet or cycle_sym not in alphabet:
-        raise ValueError(f"symbols {loop_sym!r}, {cycle_sym!r} must be in the alphabet")
-    transitions: dict[tuple[int, str], int] = {(i, cycle_sym): (i + 1) % n for i in range(n)}
-    transitions[(0, loop_sym)] = 0
-    return PartialDfa(alphabet, n, 0, frozenset({0}), transitions)
+    return union_multi_witness(n, {loop_sym: 1}, cycle_sym, alphabet)
 
 
 def unary_cycle(n: int) -> PartialDfa:
     """The minimal DFA of (b^n)*: an n-cycle over the one-letter alphabet."""
-    if n < 1:
-        raise ValueError(f"cycle length must be at least 1, got {n}")
-    alphabet = Alphabet(("b",))
-    transitions = {(i, "b"): (i + 1) % n for i in range(n)}
-    return PartialDfa(alphabet, n, 0, frozenset({0}), transitions)
+    return union_multi_witness(n, {}, "b")
 
 
 def unary_singleton(n: int, alphabet: Alphabet | None = None) -> PartialDfa:
@@ -147,8 +124,9 @@ def epsilon_lang(alphabet: Alphabet | None = None) -> PartialDfa:
 def build_witness(family: WitnessFamily, params: Mapping[str, object] = {}) -> PartialDfa:
     """Build the ``family`` witness from its constructor's keyword ``params``.
 
-    Unknown or missing parameters surface as TypeError/ValueError from
-    the constructors, which the CLI maps to input errors.
+    An unknown or missing parameter raises TypeError and a bad value
+    ValueError.  The CLI checks its flags against each family's first,
+    so only the ValueErrors reach it, as input errors (exit 2).
     """
     builders = {
         WitnessFamily.UNION_SYMBOL: union_symbol_witness,

@@ -36,7 +36,7 @@ MALFORMED = {
 def words(alphabet: Alphabet, max_len: int):
     """All words over the alphabet up to the given length, shortlex order."""
     for n in range(max_len + 1):
-        for tup in itertools.product(alphabet.symbols, repeat=n):
+        for tup in itertools.product(alphabet, repeat=n):
             yield "".join(tup)
 
 

@@ -31,6 +31,10 @@ def test_union_symbol_upper_values():
                 for t2 in range(s2 + 1):
                     v = union_symbol_upper(t1, t2, s1, s2)
                     assert v == t1 * s2 + t2 * s1 - t1 * t2 + t1 + t2
+    # union-symbol-max's closed form is the maximal-k instance of it.
+    for n1 in range(2, 12):
+        for n2 in range(2, 12):
+            assert union_symbol_upper(n1 - 1, n2 - 1, n1, n2) == n1 * n2 + n1 + n2 - 3
 
 
 def test_union_symbol_upper_rejects_bad_counts():

@@ -50,8 +50,9 @@ def test_alphabet_iteration_order():
 
 
 def test_a_foreign_symbol_is_named_in_the_error():
-    d = union_symbol_witness(3, 1)  # alphabet b c
-    for lookup in (lambda: d.alphabet.index("z"), lambda: accepts(d, "bz")):
+    d = union_symbol_witness(3, 1)  # alphabet b c; "cb" halts: no b-move from state 1
+    for lookup in (lambda: d.alphabet.index("z"), lambda: accepts(d, "bz"),
+                   lambda: accepts(d, "cbz")):
         with pytest.raises(ValueError, match=r"^symbol 'z' not in alphabet$"):
             lookup()
 
