@@ -9,6 +9,7 @@ reported a VIOLATION.  All output is deterministic for identical invocations.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -116,10 +117,13 @@ def _witness(args: argparse.Namespace) -> PartialDfa:
     if family is WitnessFamily.UNION_MULTI:
         k_map = {}
         for item in params.pop("loop", []):
-            sym, _, count = item.partition("=")
-            if not count or len(sym) != 1:
+            match = re.fullmatch(r"(\S)=(-?[0-9]+)", item)
+            if match is None:
                 raise ValueError(f"--loop expects SYMBOL=COUNT, got {item!r}")
-            k_map[sym] = int(count)
+            sym = match[1]
+            if sym in k_map:
+                raise ValueError(f"--loop gives symbol {sym!r} more than once")
+            k_map[sym] = int(match[2])
         params["k_map"] = k_map
     return build_witness(family, params)
 

@@ -113,6 +113,28 @@ class PartialDfa:
         put(self, "accepting", accepting)
         put(self, "table", table)
 
+    def _relabelled(self, accepting_sets: Iterable[frozenset[int]]) -> Iterator[PartialDfa]:
+        """This machine under each accepting set in turn, sharing its table.
+
+        Nothing is checked again: each set must be a frozenset of this
+        machine's accepting states, which its construction checked.
+        """
+        cls, new = type(self), object.__new__
+        # the slots' own setters, which the frozen __setattr__ does not guard
+        put_alphabet, put_n, put_start, put_accepting, put_table = (
+            cls.alphabet.__set__, cls.state_count.__set__, cls.start.__set__,
+            cls.accepting.__set__, cls.table.__set__,
+        )
+        alphabet, n, start, table = self.alphabet, self.state_count, self.start, self.table
+        for accepting in accepting_sets:
+            dfa = new(cls)
+            put_alphabet(dfa, alphabet)
+            put_n(dfa, n)
+            put_start(dfa, start)
+            put_accepting(dfa, accepting)
+            put_table(dfa, table)
+            yield dfa
+
     @property
     def transitions(self) -> dict[tuple[int, str], int]:
         """The defined moves as a fresh ``(state, symbol) -> state`` dict."""
@@ -324,14 +346,16 @@ def render_dfa(dfa: PartialDfa) -> str:
     Transitions are emitted sorted by (state, alphabet position), so two
     equal DFAs always render to identical bytes.
     """
-    lines = [
-        "alphabet " + " ".join(dfa.alphabet),
-        f"states {dfa.state_count}",
-        f"start {dfa.start}",
-        ("accept " + " ".join(str(q) for q in sorted(dfa.accepting))).rstrip(),
-    ]
-    lines.extend(f"{src} {sym} {dst}" for src, sym, dst in _moves(dfa.alphabet, dfa.table))
-    return "\n".join(lines) + "\n"
+    alphabet = dfa.alphabet
+    k = len(alphabet)
+    out = [f"alphabet {' '.join(alphabet)}\nstates {dfa.state_count}\nstart {dfa.start}\naccept"]
+    for q in sorted(dfa.accepting):
+        out.append(f" {q}")
+    out.append("\n")
+    for i, t in enumerate(dfa.table):
+        if t >= 0:
+            out.append(f"{i // k} {alphabet[i % k]} {t}\n")
+    return "".join(out)
 
 
 def render_dot(dfa: PartialDfa, name: str = "pdfa") -> str:

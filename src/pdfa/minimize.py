@@ -44,6 +44,31 @@ def canonicalize(dfa: PartialDfa) -> PartialDfa:
     return c
 
 
+def _search(table: tuple[int, ...], start: int, k: int) -> tuple[list[int], list[list[int]]]:
+    """The part of minimization that reads only the table: the states
+    reachable from ``start`` in BFS order, and ``pre``, where
+    ``pre[t*k + j]`` lists the reachable sources of j-moves into t."""
+    pre = [[] for _ in table]
+    seen = [False] * (len(table) // k)
+    seen[start] = True
+    order = [start]
+    for q in order:
+        for j, t in enumerate(table[q * k:q * k + k]):
+            if t >= 0:
+                pre[t * k + j].append(q)
+                if not seen[t]:
+                    seen[t] = True
+                    order.append(t)
+    return order, pre
+
+
+# The last call's ``_search`` result, keyed by its table, start and symbol
+# count.  One slot suffices for the exhaustive sweep, whose enumerator hands
+# one table to 2^n machines in a row.  It holds the table itself, so the
+# table's identity cannot pass to another tuple while the slot keys on it.
+_last_search: tuple | None = None
+
+
 def minimize(dfa: PartialDfa) -> PartialDfa:
     """The unique minimal partial DFA for the language, canonically numbered.
 
@@ -52,23 +77,20 @@ def minimize(dfa: PartialDfa) -> PartialDfa:
     initial block is queued (Valmari and Lehtinen's rule, which stands in
     for the dead state).  Later splits queue only their smaller half:
     O(m log n) work for m defined moves.  Refinement stops early once
-    every block is a single state.
+    every block is a single state.  The table-only search is reused when
+    the previous call had the same table object, start and symbol count.
     The result has the fewest states and, per symbol, the fewest moves.
     When ``dfa`` is already that machine (start 0, no state merged or
     dropped, numbering canonical) it is returned itself, not a copy.
     """
+    global _last_search
     k, delta, start = len(dfa.alphabet), dfa.table, dfa.start
-    pre = [[] for _ in delta]  # pre[t*k + j]: the reachable sources of j-moves into t
-    block = [-2] * dfa.state_count  # -2 unreached, -1 dead, else the state's block
-    block[start] = -1
-    order = [start]  # BFS order, which doubles as the reachable set
-    for q in order:
-        for j, t in enumerate(delta[q * k:q * k + k]):
-            if t >= 0:
-                pre[t * k + j].append(q)
-                if block[t] == -2:
-                    block[t] = -1
-                    order.append(t)
+    search = _last_search
+    if search is None or search[0] is not delta or search[1] != start or search[2] != k:
+        search = _last_search = (delta, start, k, *_search(delta, start, k))
+    order, pre = search[3], search[4]  # shared with the next call: read only
+    # -1 dead or unreached (only reachable states are ever looked up), else the block
+    block = [-1] * dfa.state_count
     live = [q for q in order if q in dfa.accepting]  # block 0, then block 1
     final = len(live)
     for q in live:

@@ -14,6 +14,11 @@ row-major (state by state, symbols in alphabet order), states make
 their first appearance in increasing order.  Generating only such
 tables yields each isomorphism class exactly once -- no hashing, no
 post-hoc dedup -- in a total, size-ordered order.
+
+Each table carries 2^n machines, one per accepting set, yielded in a
+row.  The table is checked once, by building its machine with every
+state accepting, and its machines then share that one tuple, which lets
+``minimize`` reuse its table-only search across the run.
 """
 
 from __future__ import annotations
@@ -73,9 +78,11 @@ def _all_dfas(max_states: int, alphabet: Alphabet) -> Iterator[PartialDfa]:
         accepting_sets = [
             frozenset(q for q in range(n) if mask >> q & 1) for mask in range(1 << n)
         ]
+        every = accepting_sets[-1]  # a superset of each accepting set
         for table in _canonical_tables(n, k):
-            for accepting in accepting_sets:
-                yield PartialDfa.from_table(alphabet, n, 0, accepting, table)
+            # one check per table, by the constructor, covers its 2^n machines
+            checked = PartialDfa.from_table(alphabet, n, 0, every, table)
+            yield from checked._relabelled(accepting_sets)
 
 
 def enumerate_dfas(max_states: int, alphabet: Alphabet) -> Iterator[PartialDfa]:
@@ -170,6 +177,8 @@ def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
     minimizer, though: one that never merges splits a language into
     several groups, each of which it then meets, and it passes.
     """
+    if max_states < 1:  # the cap check below sees max_states+1
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
     cap = max_states + 1
     _check_limits(cap, alphabet)
     # minimal DFA -> [its rendering, [min states, min total, per-symbol minima...]]

@@ -170,8 +170,15 @@ def test_whitespace_alphabet_symbols_exit_2(argv, capsys):
 
 
 def test_witness_bad_loop_syntax(capsys):
-    assert main(["witness", "union-multi", "--n", "3", "--loop", "ab3"]) == 2
-    assert "SYMBOL=COUNT" in capsys.readouterr().err
+    for loop in ("ab3", "a=x", "=2", "a="):
+        assert main(["witness", "union-multi", "--n", "3", "--loop", loop]) == 2
+        err = capsys.readouterr().err
+        assert f"--loop expects SYMBOL=COUNT, got {loop!r}" in err
+        assert "Traceback" not in err
+    assert main(["witness", "union-multi", "--n", "4", "--loop", "a=1", "--loop", "a=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--loop gives symbol 'a' more than once" in captured.err
 
 
 def test_check_single_bound_line_format(capsys):
@@ -284,6 +291,15 @@ def test_oracle_verify_lemma1_pass(capsys):
         "verify-lemma1 max_states=2 alphabet=a dfas=48 languages=8 "
         "counterexamples=0 verdict=pass\n"
     )
+
+
+@pytest.mark.parametrize("max_states", ["0", "-1"])
+def test_oracle_verify_lemma1_rejects_a_sweep_of_no_states(max_states, capsys):
+    rc = main(["oracle", "verify-lemma1", "--max-states", max_states, "--alphabet", "ab"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max_states must be at least 1, got {max_states}\n"
 
 
 def test_oracle_verify_lemma1_failure_exit_code(monkeypatch, capsys):

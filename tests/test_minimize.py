@@ -241,6 +241,31 @@ def test_minimize_returns_a_minimal_machine_itself():
         assert (m is d) == (m == d)
 
 
+def test_minimize_keeps_machines_on_one_table_apart():
+    """``minimize`` reuses its table-only search while calls share a table
+    tuple.  Machines on one tuple that differ in start state, or read it in
+    another shape, must still minimize as they would on a fresh copy."""
+    a, ab = Alphabet("a"), Alphabet("ab")
+    chain = (1, 2, -1)  # over {a}: 0 -> 1 -> 2, reached differently from each start
+    grid = (1, -1, 0, 1)  # 4 states x 1 symbol, or 2 states x 2 symbols
+
+    def on_chain(start):
+        return [(a, 3, start, accepting, chain) for accepting in ({2}, {0, 2}, {1})]
+
+    def fresh():  # a machine on a table no other machine shares
+        return (ab, 2, 0, {1}, tuple([1, -1, -1, 0]))
+
+    stream = [
+        *on_chain(0), *on_chain(1), *on_chain(2), fresh(), *on_chain(1), *on_chain(0),
+        (a, 4, 0, {1}, grid), (ab, 2, 0, {1}, grid), (a, 4, 2, {1}, grid), fresh(),
+        (ab, 2, 0, {1}, grid), (a, 4, 0, {1}, grid), fresh(), *on_chain(2), fresh(),
+    ]
+    machines = [PartialDfa.from_table(*spec) for spec in stream]
+    expected = [minimize(PartialDfa.from_table(*spec[:4], tuple(list(spec[4])))) for spec in stream]
+    assert [moore_minimize(d) for d in machines] == expected
+    assert [minimize(d) for d in machines] == expected  # one after another, tables shared
+
+
 @pytest.mark.parametrize(
     "d", [epsilon_lang(), unary_cycle(3), union_symbol_witness(3, 1), empty_language_dfa(Alphabet("ab"))]
 )

@@ -13,6 +13,7 @@ from pdfa import (
     render_dfa,
 )
 from pdfa.oracle import (
+    _all_dfas,
     brute_min_transitions,
     enumerate_dfas,
     verify_lemma1,
@@ -62,6 +63,12 @@ def test_enumerated_dfas_are_canonical_and_valid():
         assert is_connected(d)
         assert canonicalize(d) == d
         assert d.start == 0
+    # the enumerator checks each table once and shares it among 2^n machines:
+    # every machine is still the one the checking constructor builds
+    for max_states, symbols in ((3, "ab"), (6, "b"), (2, "abc")):
+        for d in _all_dfas(max_states, Alphabet(symbols)):
+            fields = (d.alphabet, d.state_count, d.start, d.accepting, d.table)
+            assert PartialDfa.from_table(*fields) == d
 
 
 def test_enumeration_is_deterministic_and_size_ordered():
@@ -139,6 +146,12 @@ def test_lemma1_unary_sweep_is_clean():
     assert report.counterexamples == ()
     assert report.dfas_checked == 48  # sizes 1..3 feed the size-2 check
     assert report.languages > 0
+
+
+@pytest.mark.parametrize("max_states", [0, -1])
+def test_lemma1_rejects_a_sweep_of_no_states(max_states):
+    with pytest.raises(ValueError, match=f"max_states must be at least 1, got {max_states}$"):
+        verify_lemma1(max_states, Alphabet("ab"))
 
 
 def test_lemma1_binary_single_state():
