@@ -312,9 +312,7 @@ def _union_symbol_tight(n1: int, n2: int, k1: int, k2: int) -> Outcome:
 
 @_claim(BoundId.UNION_SYMBOL_MAX, "n1", "n2", coprime=True)
 def _union_symbol_max(n1: int, n2: int) -> Outcome:
-    _inner, measured, _rel, _note, machines = _union_symbol_tight(n1, n2, n1 - 1, n2 - 1)
-    formula = n1 * n2 + n1 + n2 - 3
-    return formula, measured, _relation(measured, formula), "", machines
+    return _union_symbol_tight(n1, n2, n1 - 1, n2 - 1)  # n1*n2 + n1 + n2 - 3
 
 
 @_claim(BoundId.UNION_MULTI_TIGHT, "n1", "n2", ("ka1", 1), ("kb1", lambda p: max(1, p["n1"] - 1)),

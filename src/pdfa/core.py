@@ -196,48 +196,29 @@ def accepts(dfa: PartialDfa, word: str) -> bool:
     return state in dfa.accepting
 
 
-def is_connected(dfa: PartialDfa) -> bool:
-    """True when every state is reachable from the start state (BFS)."""
-    k, table = len(dfa.alphabet), dfa.table
-    seen = {dfa.start}
-    queue = [dfa.start]
-    for q in queue:
+def _bfs_order(table: tuple[int, ...], start: int, k: int) -> list[int]:
+    """The states reachable from ``start`` in breadth-first discovery
+    order, successors in alphabet order: ``order[i]`` is the state that
+    the canonical numbering calls ``i``."""
+    seen = [False] * (len(table) // k)
+    seen[start] = True
+    order = [start]
+    for q in order:
         for t in table[q * k:q * k + k]:
-            if t >= 0 and t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return len(seen) == dfa.state_count
+            if t >= 0 and not seen[t]:
+                seen[t] = True
+                order.append(t)
+    return order
+
+
+def is_connected(dfa: PartialDfa) -> bool:
+    """True when every state is reachable from the start state."""
+    return len(_bfs_order(dfa.table, dfa.start, len(dfa.alphabet))) == dfa.state_count
 
 
 def empty_language_dfa(alphabet: Alphabet) -> PartialDfa:
     """The canonical recognizer of the empty language: one bare state."""
     return PartialDfa.from_table(alphabet, 1, 0, frozenset(), (-1,) * len(alphabet))
-
-
-def _renumbered(dfa: PartialDfa) -> PartialDfa:
-    """Renumber by one BFS from the start, dropping what it does not reach.
-    Ties are broken by alphabet order, which makes the numbering (and every
-    artifact) deterministic.  Returns ``dfa`` itself when the numbering is
-    the identity and nothing is dropped."""
-    k, table = len(dfa.alphabet), dfa.table
-    order = {dfa.start: 0}
-    queue = [dfa.start]
-    out = []
-    for q in queue:
-        for t in table[q * k:q * k + k]:
-            if t < 0:
-                out.append(-1)
-                continue
-            dst = order.get(t)
-            if dst is None:
-                dst = order[t] = len(order)
-                queue.append(t)
-            out.append(dst)
-    out = tuple(out)
-    if dfa.start == 0 and out == table:
-        return dfa
-    accepting = frozenset(order[q] for q in dfa.accepting if q in order)
-    return PartialDfa.from_table(dfa.alphabet, len(order), 0, accepting, out)
 
 
 def transition_counts(dfa: PartialDfa) -> TransitionCounts:

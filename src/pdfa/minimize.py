@@ -11,9 +11,10 @@ equality a dataclass comparison -- one of the two equivalence routes below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
-from .core import PartialDfa, _renumbered, empty_language_dfa, transition_counts
+from .core import PartialDfa, _bfs_order, empty_language_dfa, transition_counts
 
 
 @dataclass(frozen=True)
@@ -32,41 +33,41 @@ class ComplexityReport:
 
 
 def canonicalize(dfa: PartialDfa) -> PartialDfa:
-    """Renumber a connected DFA by BFS discovery order.
+    """Renumber a connected DFA by BFS discovery order; ``dfa`` itself
+    when it is numbered that way already.
 
     Two connected deterministic automata are isomorphic exactly when
     their canonical forms are equal, so this turns isomorphism checks
     into equality checks.
     """
-    c = _renumbered(dfa)
-    if c.state_count != dfa.state_count:
+    n, k, table = dfa.state_count, len(dfa.alphabet), dfa.table
+    order = _bfs_order(table, dfa.start, k)
+    if len(order) != n:
         raise ValueError("canonicalize requires a connected DFA")
-    return c
+    if order == list(range(n)):
+        return dfa
+    number = [0] * n
+    for i, q in enumerate(order):
+        number[q] = i
+    out = [number[t] if t >= 0 else -1 for q in order for t in table[q * k:q * k + k]]
+    accepting = frozenset(number[q] for q in dfa.accepting)
+    return PartialDfa.from_table(dfa.alphabet, n, 0, accepting, out)
 
 
+# One entry suffices for the exhaustive sweep, whose enumerator hands one
+# table to 2^n machines in a row.  The key is the table's content.
+@lru_cache(maxsize=1)
 def _search(table: tuple[int, ...], start: int, k: int) -> tuple[list[int], list[list[int]]]:
     """The part of minimization that reads only the table: the states
     reachable from ``start`` in BFS order, and ``pre``, where
     ``pre[t*k + j]`` lists the reachable sources of j-moves into t."""
+    order = _bfs_order(table, start, k)
     pre = [[] for _ in table]
-    seen = [False] * (len(table) // k)
-    seen[start] = True
-    order = [start]
     for q in order:
         for j, t in enumerate(table[q * k:q * k + k]):
             if t >= 0:
                 pre[t * k + j].append(q)
-                if not seen[t]:
-                    seen[t] = True
-                    order.append(t)
     return order, pre
-
-
-# The last call's ``_search`` result, keyed by its table, start and symbol
-# count.  One slot suffices for the exhaustive sweep, whose enumerator hands
-# one table to 2^n machines in a row.  It holds the table itself, so the
-# table's identity cannot pass to another tuple while the slot keys on it.
-_last_search: tuple | None = None
 
 
 def minimize(dfa: PartialDfa) -> PartialDfa:
@@ -77,18 +78,15 @@ def minimize(dfa: PartialDfa) -> PartialDfa:
     initial block is queued (Valmari and Lehtinen's rule, which stands in
     for the dead state).  Later splits queue only their smaller half:
     O(m log n) work for m defined moves.  Refinement stops early once
-    every block is a single state.  The table-only search is reused when
-    the previous call had the same table object, start and symbol count.
-    The result has the fewest states and, per symbol, the fewest moves.
+    every block is a single state.  The table-only search is cached for
+    the last table content, start and symbol count, so consecutive calls
+    on one table share it.  The result has the fewest states and, per
+    symbol, the fewest moves.
     When ``dfa`` is already that machine (start 0, no state merged or
     dropped, numbering canonical) it is returned itself, not a copy.
     """
-    global _last_search
     k, delta, start = len(dfa.alphabet), dfa.table, dfa.start
-    search = _last_search
-    if search is None or search[0] is not delta or search[1] != start or search[2] != k:
-        search = _last_search = (delta, start, k, *_search(delta, start, k))
-    order, pre = search[3], search[4]  # shared with the next call: read only
+    order, pre = _search(delta, start, k)  # cached for the next call: read only
     # -1 dead or unreached (only reachable states are ever looked up), else the block
     block = [-1] * dfa.state_count
     live = [q for q in order if q in dfa.accepting]  # block 0, then block 1

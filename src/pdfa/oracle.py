@@ -17,8 +17,9 @@ post-hoc dedup -- in a total, size-ordered order.
 
 Each table carries 2^n machines, one per accepting set, yielded in a
 row.  The table is checked once, by building its machine with every
-state accepting, and its machines then share that one tuple, which lets
-``minimize`` reuse its table-only search across the run.
+state accepting, and its machines then share that one tuple.
+``minimize`` caches its table-only search for one entry, keyed by the
+table's content, so the machines of one table share one search.
 """
 
 from __future__ import annotations
@@ -35,12 +36,16 @@ from .minimize import canonicalize, minimize, pair_equivalent
 _ENUM_LIMITS = {1: 14, 2: 4, 3: 3}
 
 
+def _state_limit(alphabet: Alphabet) -> int:
+    if len(alphabet) > 3:
+        raise ValueError(f"enumeration is capped at 3 symbols, got {len(alphabet)}")
+    return _ENUM_LIMITS[len(alphabet)]
+
+
 def _check_limits(max_states: int, alphabet: Alphabet) -> None:
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
-    if len(alphabet) > 3:
-        raise ValueError(f"enumeration is capped at 3 symbols, got {len(alphabet)}")
-    limit = _ENUM_LIMITS[len(alphabet)]
+    limit = _state_limit(alphabet)
     if max_states > limit:
         raise ValueError(
             f"enumeration over {len(alphabet)} symbol(s) is capped at "
@@ -115,6 +120,8 @@ def brute_min_transitions(target: PartialDfa, max_states: int = 0) -> OracleResu
     no equivalent DFA below it is rejected: it is under sc(L).
     """
     alphabet = target.alphabet
+    if max_states < 0:
+        raise ValueError(f"max_states must be 0 (search up to sc+1) or at least 1, got {max_states}")
     _check_limits(max_states or 1, alphabet)
     auto = max_states == 0
     cap = _ENUM_LIMITS[len(alphabet)] if auto else max_states
@@ -177,10 +184,16 @@ def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
     minimizer, though: one that never merges splits a language into
     several groups, each of which it then meets, and it passes.
     """
-    if max_states < 1:  # the cap check below sees max_states+1
+    if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
+    limit = _state_limit(alphabet)
+    if max_states >= limit:
+        raise ValueError(
+            f"verify-lemma1 sweeps one state past max_states and enumeration over "
+            f"{len(alphabet)} symbol(s) is capped at {limit} states, so max_states "
+            f"must be at most {limit - 1}, got {max_states}"
+        )
     cap = max_states + 1
-    _check_limits(cap, alphabet)
     # minimal DFA -> [its rendering, [min states, min total, per-symbol minima...]]
     groups: dict[PartialDfa, list] = {}
     checked = 0

@@ -283,6 +283,17 @@ def test_oracle_min_transitions_rejects_small_cap(witness_file, capsys):
     assert "state complexity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_states", ["-3", "-1"])
+def test_oracle_min_transitions_rejects_a_negative_cap(max_states, witness_file, capsys):
+    path = witness_file(union_symbol_witness(3, 1))
+    assert main(["oracle", "min-transitions", path, "--max-states", max_states]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: max_states must be 0 (search up to sc+1) or at least 1, got {max_states}\n"
+    )
+
+
 def test_oracle_verify_lemma1_pass(capsys):
     rc = main(["oracle", "verify-lemma1", "--max-states", "2", "--alphabet", "a"])
     assert rc == 0
@@ -300,6 +311,19 @@ def test_oracle_verify_lemma1_rejects_a_sweep_of_no_states(max_states, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: max_states must be at least 1, got {max_states}\n"
+
+
+@pytest.mark.parametrize("symbols, max_states", [("b", 14), ("ab", 4), ("abc", 3)])
+def test_oracle_verify_lemma1_cap_names_the_callers_value(symbols, max_states, capsys):
+    rc = main(["oracle", "verify-lemma1", "--max-states", str(max_states), "--alphabet", symbols])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: verify-lemma1 sweeps one state past max_states and enumeration over "
+        f"{len(symbols)} symbol(s) is capped at {max_states} states, so max_states "
+        f"must be at most {max_states - 1}, got {max_states}\n"
+    )
 
 
 def test_oracle_verify_lemma1_failure_exit_code(monkeypatch, capsys):

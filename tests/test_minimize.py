@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 from pdfa import (
     Alphabet,
@@ -9,6 +9,7 @@ from pdfa import (
     empty_language_dfa,
     equivalent,
     intersection_product,
+    is_connected,
     minimize,
     pair_equivalent,
     render_dfa,
@@ -27,7 +28,7 @@ from pdfa.witnesses import (
 )
 
 from conftest import MALFORMED, dfa_pairs, language, partial_dfas
-from moore import complete_with_sink, moore_minimize, trim
+from moore import complete_with_sink, moore_minimize, restrict, trim
 
 
 def test_complete_machine_gains_no_sink():
@@ -204,6 +205,16 @@ def test_canonicalize_requires_connected_input():
 
 
 @given(partial_dfas())
+def test_canonicalize_matches_the_reference_numbering(d):
+    """On every connected draw, whatever its start, ``canonicalize`` numbers
+    states as the Moore reference's own BFS does, and is then a fixed point."""
+    assume(is_connected(d))
+    c = canonicalize(d)
+    assert c == restrict(d, frozenset(range(d.state_count)))
+    assert canonicalize(c) is c
+
+
+@given(partial_dfas())
 def test_minimize_output_is_canonical(d):
     m = minimize(d)
     assert canonicalize(m) == m
@@ -242,9 +253,10 @@ def test_minimize_returns_a_minimal_machine_itself():
 
 
 def test_minimize_keeps_machines_on_one_table_apart():
-    """``minimize`` reuses its table-only search while calls share a table
-    tuple.  Machines on one tuple that differ in start state, or read it in
-    another shape, must still minimize as they would on a fresh copy."""
+    """``minimize`` caches its table-only search for the last table content.
+    Machines on one table that differ in start state, read it in another
+    shape, or hold an equal table in a distinct tuple must still minimize
+    as they would on a fresh copy."""
     a, ab = Alphabet("a"), Alphabet("ab")
     chain = (1, 2, -1)  # over {a}: 0 -> 1 -> 2, reached differently from each start
     grid = (1, -1, 0, 1)  # 4 states x 1 symbol, or 2 states x 2 symbols
@@ -255,8 +267,12 @@ def test_minimize_keeps_machines_on_one_table_apart():
     def fresh():  # a machine on a table no other machine shares
         return (ab, 2, 0, {1}, tuple([1, -1, -1, 0]))
 
+    def copied(start, accepting):  # the chain's content in a tuple of its own
+        return (a, 3, start, accepting, tuple(list(chain)))
+
     stream = [
-        *on_chain(0), *on_chain(1), *on_chain(2), fresh(), *on_chain(1), *on_chain(0),
+        *on_chain(0), copied(0, {1}), copied(1, {2}), *on_chain(1), copied(1, {0, 2}),
+        *on_chain(2), fresh(), *on_chain(1), *on_chain(0),
         (a, 4, 0, {1}, grid), (ab, 2, 0, {1}, grid), (a, 4, 2, {1}, grid), fresh(),
         (ab, 2, 0, {1}, grid), (a, 4, 0, {1}, grid), fresh(), *on_chain(2), fresh(),
     ]

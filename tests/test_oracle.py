@@ -154,6 +154,26 @@ def test_lemma1_rejects_a_sweep_of_no_states(max_states):
         verify_lemma1(max_states, Alphabet("ab"))
 
 
+@pytest.mark.parametrize("symbols, max_states", [("b", 14), ("ab", 4), ("abc", 3)])
+def test_lemma1_cap_names_the_largest_allowed_max_states(symbols, max_states):
+    """The sweep enumerates max_states+1 states; the error names the
+    caller's value and the largest one the enumeration cap leaves."""
+    message = (
+        f"verify-lemma1 sweeps one state past max_states and enumeration over "
+        f"{len(symbols)} symbol(s) is capped at {max_states} states, so max_states "
+        f"must be at most {max_states - 1}, got {max_states}"
+    )
+    with pytest.raises(ValueError) as exc:
+        verify_lemma1(max_states, Alphabet(symbols))
+    assert str(exc.value) == message
+
+
+def test_brute_min_rejects_a_negative_cap_naming_the_auto_mode():
+    with pytest.raises(ValueError) as exc:
+        brute_min_transitions(epsilon_lang(), max_states=-3)
+    assert str(exc.value) == "max_states must be 0 (search up to sc+1) or at least 1, got -3"
+
+
 def test_lemma1_binary_single_state():
     report = verify_lemma1(1, Alphabet("ab"))
     assert report.ok
