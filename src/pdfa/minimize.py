@@ -63,8 +63,10 @@ def _search(table: tuple[int, ...], start: int, k: int) -> tuple[list[int], list
     ``pre[t*k + j]`` lists the reachable sources of j-moves into t."""
     order = _bfs_order(table, start, k)
     pre = [[] for _ in table]
-    for q in order:
-        for j, t in enumerate(table[q * k:q * k + k]):
+    for j in range(k):
+        column = table[j::k]  # column[q]: the target of q's j-move
+        for q in order:
+            t = column[q]
             if t >= 0:
                 pre[t * k + j].append(q)
     return order, pre
