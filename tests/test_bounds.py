@@ -1,8 +1,12 @@
+import hashlib
 import math
 
 import pytest
 
+import pdfa.bounds
+from pdfa import render_dfa
 from pdfa.bounds import (
+    DEFAULT_SEED,
     BoundCheckReport,
     BoundId,
     Relation,
@@ -207,6 +211,48 @@ def test_sample_pairs_can_force_incompleteness():
     for a, b in sample_pairs(5, 25, require_incomplete=True):
         assert not a.is_complete()
         assert not b.is_complete()
+
+
+# SHA-256 of the rendered pairs of three samples: a sampler that draws
+# other numbers from the seeded stream fails here, not only in the reports.
+SAMPLE_DIGESTS = [
+    ((DEFAULT_SEED, 200), {}, "0f7fceed8744617d02e621e9dd0e108b2f65bb522c374de1af6f49c445aa08db"),
+    ((DEFAULT_SEED, 200), {"require_incomplete": True},
+     "9e1ec7ffe3f4ca08391a13a3710541a68bf34056bedb7dd6f408766e8e88da28"),
+    ((5, 40), {"max_states": 6}, "9567169911217df052a3fbb419e06afcf8d8eb318bfae9e45ee118404d56a767"),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, digest", SAMPLE_DIGESTS)
+def test_sample_pairs_draws_are_pinned(args, kwargs, digest):
+    text = "".join(render_dfa(a) + render_dfa(b) for a, b in sample_pairs(*args, **kwargs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("max_states", [0, -1, 11, 40])
+def test_sample_pairs_rejects_max_states_out_of_range(max_states):
+    with pytest.raises(ValueError, match=rf"^random pairs take max_states in 1\.\.10, got {max_states}$"):
+        sample_pairs(1, 3, max_states=max_states)
+
+
+def test_run_suite_draws_each_sample_once(monkeypatch):
+    calls = []
+    draw = pdfa.bounds.sample_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(pdfa.bounds, "sample_pairs", counted)
+    first = run_suite(max_n=3, pairs=5)
+    assert len(calls) == 2  # one sample for five rows, one with require_incomplete
+    assert run_suite(max_n=3, pairs=5) == first
+    assert len(calls) == 4  # nothing is kept between runs
+    # a direct check draws its own sample every time
+    params = {"pairs": 5, "seed": 1}
+    check_bound("union-total-upper", params)
+    check_bound("union-total-upper", params)
+    assert len(calls) == 6
 
 
 def test_construction_exactness_suite_is_clean():

@@ -219,6 +219,16 @@ def test_check_single_bound_gets_the_table_defaults(capsys):
     assert out.startswith("union-total-upper pairs=3 seed=12345 max_states=4 ")
 
 
+# 0 is below the range; at 40 rejection sampling would draw for hours
+@pytest.mark.parametrize("max_states", ["0", "40"])
+def test_check_random_row_rejects_max_states_out_of_range(max_states, capsys):
+    argv = ["check", "union-total-upper", "--max-states", max_states, "--pairs", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: random pairs take max_states in 1..10, got {max_states}\n"
+
+
 def test_check_all_rejects_per_check_flags(capsys):
     assert main(["check", "--all", "--n1", "99"]) == 2
     assert "--n1" in capsys.readouterr().err
