@@ -219,14 +219,19 @@ def sample_connected_dfa(
     with equal probability.  Only an accepted draw becomes a PartialDfa.
     """
     n, k = state_count, len(alphabet)
-    # choice draws the same number from the stream as randrange(-1, n), faster
-    slots, choice, bit = range(-1, n), rng.choice, rng.getrandbits
+    # each slot is rng.choice(range(-1, n)), inlined: the same words from the stream
+    width, bit = (n + 1).bit_length(), rng.getrandbits
     while True:
-        table = [choice(slots) for _ in range(n * k)]
+        table = []
+        for _ in range(n * k):
+            r = bit(width)
+            while r > n:
+                r = bit(width)
+            table.append(r - 1)
         accepting = [q for q in range(n) if bit(1)]
-        if len(_bfs_order(table, 0, k)) != n:
-            continue
         if require_incomplete and -1 not in table:
+            continue
+        if len(_bfs_order(table, 0, k)) != n:
             continue
         return canonicalize(PartialDfa.from_table(alphabet, n, 0, accepting, table))
 
@@ -297,21 +302,54 @@ def _relation(measured: int, formula: int, tight: bool = True, failed: bool = Fa
     return Relation.VIOLATION if tight or measured > formula else Relation.WITHIN_BOUND
 
 
+# What run_suite's checks share while it runs; None outside a run, where each
+# check computes everything afresh.  It holds one scope at a time, as
+# [scope, {key: value}]: a sample with the counts of its operands and their
+# unions, or one witness product.  Keys are values, never identities, so an
+# entry is right in any scope; the scope only bounds how long it lives.
+_shared: ContextVar[list | None] = ContextVar("_shared", default=None)
+
+
+def _kept(key, compute: Callable, scope=None):
+    """``compute()``, computed once per run_suite run while the store's scope lasts.
+
+    A ``scope`` other than the store's first drops what the store holds,
+    so the last scope's entries go before the next one's are computed.
+    """
+    store = _shared.get()
+    if store is None:
+        return compute()
+    if scope is not None and scope != store[0]:
+        store[:] = [scope, {}]
+    entries = store[1]
+    value = entries.get(key)
+    if value is None:
+        value = entries[key] = compute()
+    return value
+
+
 def _measured(dfa: PartialDfa) -> tuple[PartialDfa, int, dict[str, int]]:
     m = minimize(dfa)
     counts = transition_counts(m)
     return m, counts.total, dict(counts.per_symbol)
 
 
-def _symbol_witness_union(n1: int, n2: int, k1: int, k2: int) -> PartialDfa:
-    return union_product(
-        union_symbol_witness(n1, k1, alphabet=_BC), union_symbol_witness(n2, k2, alphabet=_BC)
-    )
+def _symbol_witness_union(n1: int, n2: int, k1: int, k2: int) -> tuple[PartialDfa, int, dict[str, int]]:
+    """The measured union of two symbol witnesses; measured once for the rows
+    of a run that take it (union-symbol-tight, -max and union-sc-tight)."""
+
+    def measure():
+        w1 = union_symbol_witness(n1, k1, alphabet=_BC)
+        w2 = union_symbol_witness(n2, k2, alphabet=_BC)
+        return _measured(union_product(w1, w2))
+
+    key = ("symbol", n1, n2, k1, k2)  # a product is its own scope
+    return _kept(key, measure, scope=key)
 
 
 @_claim(BoundId.UNION_SYMBOL_TIGHT, "n1", "n2", ("k1", 1), ("k2", 1), coprime=True)
 def _union_symbol_tight(n1: int, n2: int, k1: int, k2: int) -> Outcome:
-    m, _total, per = _measured(_symbol_witness_union(n1, n2, k1, k2))
+    m, _total, per = _symbol_witness_union(n1, n2, k1, k2)
     formula = union_symbol_upper(k1, k2, n1, n2)
     return formula, per["b"], _relation(per["b"], formula), "", (m,)
 
@@ -337,19 +375,26 @@ def _union_multi_tight(n1: int, n2: int, ka1: int, kb1: int, ka2: int, kb2: int)
 
 @_claim(BoundId.UNION_SC_TIGHT, "n1", "n2", ("k1", 1), ("k2", 1), coprime=True)
 def _union_sc_tight(n1: int, n2: int, k1: int, k2: int) -> Outcome:
-    m = minimize(_symbol_witness_union(n1, n2, k1, k2))
+    m, _total, _per = _symbol_witness_union(n1, n2, k1, k2)
     formula = union_state_upper(n1, n2)
     return formula, m.state_count, _relation(m.state_count, formula), "", (m,)
 
 
 def _union_total_pair(n1: int, n2: int) -> tuple[int, int, PartialDfa, int]:
-    """tc of both minimal-total witnesses, and the minimized union with its tc."""
-    w1 = union_total_witness(n1, "a", "c", alphabet=_ABC)
-    w2 = union_total_witness(n2, "b", "c", alphabet=_ABC)
-    t1 = complexity(w1).tc
-    t2 = complexity(w2).tc
-    m, measured, _per = _measured(union_product(w1, w2))
-    return t1, t2, m, measured
+    """tc of both minimal-total witnesses, and the minimized union with its tc;
+    measured once for the rows of a run that take it (union-total-tight and
+    union-cycle-upper)."""
+
+    def measure():
+        w1 = union_total_witness(n1, "a", "c", alphabet=_ABC)
+        w2 = union_total_witness(n2, "b", "c", alphabet=_ABC)
+        t1 = complexity(w1).tc
+        t2 = complexity(w2).tc
+        m, measured, _per = _measured(union_product(w1, w2))
+        return t1, t2, m, measured
+
+    key = ("total", n1, n2)  # a product is its own scope
+    return _kept(key, measure, scope=key)
 
 
 @_claim(BoundId.UNION_TOTAL_TIGHT, "n1", "n2", coprime=True)
@@ -460,24 +505,6 @@ def _conjecture_small(m: int) -> Outcome:
 
 _SUITE_PARAMS = (("pairs", DEFAULT_PAIRS), ("seed", DEFAULT_SEED), ("max_states", DEFAULT_MAX_STATES))
 
-# run_suite's samples, keyed by sample_pairs' arguments, while it runs: its
-# random rows that take the same sample draw it once.  None outside a run,
-# where each check draws its own.
-_shared_samples: ContextVar[dict | None] = ContextVar("_shared_samples", default=None)
-
-
-def _sample(*key) -> list[tuple[PartialDfa, PartialDfa]]:
-    """``sample_pairs(*key)``, drawn once per run_suite run."""
-    shared = _shared_samples.get()
-    if shared is None:
-        return sample_pairs(*key)
-    sample = shared.get(key)
-    if sample is None:
-        shared.clear()  # one sample at a time: the last one goes before the next is drawn
-        sample = shared[key] = sample_pairs(*key)
-    return sample
-
-
 def _random_suite(
     pairs: int, seed: int, max_states: int, per_pair: Callable, require_incomplete: bool
 ) -> Outcome:
@@ -489,7 +516,9 @@ def _random_suite(
     """
     if pairs < 1:
         raise ValueError(f"need at least one pair, got {pairs}")
-    sample = _sample(seed, pairs, max_states, require_incomplete)
+    key = (seed, pairs, max_states, require_incomplete)
+    # the sample is the store's scope: rows that take it draw it, and measure its operands, once
+    sample = _kept("sample", lambda: sample_pairs(*key), scope=key)
     worst: tuple[int, int, int, tuple[PartialDfa, PartialDfa]] | None = None
     violations = 0
     for a, b in sample:
@@ -511,63 +540,73 @@ def _suite(bound_id: BoundId, per_pair: Callable, require_incomplete: bool = Fal
     )
 
 
-def _language_counts(dfa: PartialDfa) -> tuple[Mapping[str, int], int]:
+def _language(dfa: PartialDfa) -> tuple[int, tuple[int, ...]]:
+    """sc of ``dfa``'s language and its tc on each symbol, in alphabet order."""
     report = complexity(dfa)
-    return report.tc_per_symbol, report.sc
+    return report.sc, tuple(report.tc_per_symbol.values())
 
 
-def _construction_counts(dfa: PartialDfa) -> tuple[Mapping[str, int], int]:
-    return transition_counts(dfa).per_symbol, dfa.state_count
+def _operand(dfa: PartialDfa) -> tuple[int, tuple[int, ...]]:
+    """``_language`` of a sampled operand, computed once per run."""
+    return _kept(dfa, lambda: _language(dfa))
 
 
-def _per_symbol(measure, bound, exact: bool, a: PartialDfa, b: PartialDfa, result: PartialDfa):
-    """Compare ``result`` with ``bound`` symbol by symbol, summed over the alphabet.
+def _union(a: PartialDfa, b: PartialDfa) -> tuple[int, ...]:
+    """Per-symbol tc of the union of a sampled pair, computed once per run."""
+    return _kept((a, b), lambda: _language(union_product(a, b))[1])
 
-    ``measure`` gives a DFA's per-symbol counts and its size; ``bound``
-    takes both operands' counts on one symbol and both sizes.  A pair is
-    bad when a symbol exceeds its bound or, if ``exact``, misses it.
+
+def _construction(dfa: PartialDfa) -> tuple[int, tuple[int, ...]]:
+    """State count and per-symbol move count of ``dfa`` itself."""
+    return dfa.state_count, tuple(transition_counts(dfa).per_symbol.values())
+
+
+def _per_symbol(bound, exact: bool, a, b, got: tuple[int, ...]):
+    """Compare ``got`` with ``bound`` symbol by symbol, summed over the alphabet.
+
+    ``a`` and ``b`` are the operands' sizes and per-symbol counts, and
+    ``got`` the result's counts, all in alphabet order; ``bound`` takes
+    both operands' counts on one symbol and both sizes.  A pair is bad
+    when a symbol exceeds its bound or, if ``exact``, misses it.
     """
-    (ta, sa), (tb, sb) = measure(a), measure(b)
-    got = measure(result)[0]
-    values = [(got[sym], bound(ta[sym], tb[sym], sa, sb)) for sym in a.alphabet]
+    (sa, ta), (sb, tb) = a, b
+    values = [(g, bound(x, y, sa, sb)) for g, x, y in zip(got, ta, tb)]
     bad = any(g != v if exact else g > v for g, v in values)
     return sum(g for g, _v in values), sum(v for _g, v in values), bad
 
 
 def _union_total_upper_pair(a: PartialDfa, b: PartialDfa) -> tuple[int, int, bool]:
-    formula = union_total_upper(complexity(a).tc, complexity(b).tc)
-    measured = complexity(union_product(a, b)).tc
+    formula = union_total_upper(sum(_operand(a)[1]), sum(_operand(b)[1]))
+    measured = sum(_union(a, b))
     return measured, formula, measured > formula
 
 
 def _intersection_upper_pair(a: PartialDfa, b: PartialDfa) -> tuple[int, int, bool]:
-    ra = complexity(a)
-    rb = complexity(b)
+    ta, tb = _operand(a)[1], _operand(b)[1]
     measured = complexity(intersection_product(a, b)).tc
-    symbol_sum = sum(
-        intersection_upper(ra.tc_per_symbol[sym], rb.tc_per_symbol[sym]) for sym in a.alphabet
-    )
-    formula = intersection_upper(ra.tc, rb.tc)
+    symbol_sum = sum(intersection_upper(x, y) for x, y in zip(ta, tb))
+    formula = intersection_upper(sum(ta), sum(tb))
     # two layers: tc <= sum of per-symbol products <= t1*t2
     return measured, formula, measured > symbol_sum or symbol_sum > formula
 
 
 def _complement_upper_pair(a: PartialDfa, _b: PartialDfa) -> tuple[int, int, bool]:
-    formula = complement_upper(len(a.alphabet), complexity(a).tc)
+    formula = complement_upper(len(a.alphabet), sum(_operand(a)[1]))
     measured = complexity(complement(a)).tc
     return measured, formula, measured > formula
 
 
 _suite(BoundId.UNION_TOTAL_UPPER, _union_total_upper_pair)
 _suite(BoundId.UNION_SYMBOL_SOUND, lambda a, b: _per_symbol(
-    _language_counts, union_symbol_upper, False, a, b, union_product(a, b)))
+    union_symbol_upper, False, _operand(a), _operand(b), _union(a, b)))
 # the union construction's count is exact only with a dead slot on both sides
 _suite(BoundId.UNION_CONSTRUCTION_EXACT, lambda a, b: _per_symbol(
-    _construction_counts, union_symbol_upper, True, a, b, union_product(a, b)), require_incomplete=True)
+    union_symbol_upper, True, _construction(a), _construction(b),
+    _construction(union_product(a, b))[1]), require_incomplete=True)
 _suite(BoundId.INTERSECTION_UPPER, _intersection_upper_pair)
 _suite(BoundId.INTERSECTION_CONSTRUCTION_EXACT, lambda a, b: _per_symbol(
-    _construction_counts, lambda t1, t2, *_sizes: intersection_upper(t1, t2),
-    True, a, b, intersection_product(a, b)))
+    lambda t1, t2, *_sizes: intersection_upper(t1, t2), True, _construction(a), _construction(b),
+    _construction(intersection_product(a, b))[1]))
 _suite(BoundId.COMPLEMENT_UPPER, _complement_upper_pair)
 
 
@@ -623,28 +662,39 @@ def run_suite(
     B = BoundId
     sizes = range(2, max_n + 1)
     grid = [(n1, n2) for n1 in sizes for n2 in sizes if n1 < n2 and math.gcd(n1, n2) == 1]
+
+    def witness_rows(n1: int, n2: int):
+        # a product's rows run in a row, so the store measures it once:
+        # union-sc-tight takes union-symbol-tight's first product,
+        # union-symbol-max its last, union-cycle-upper union-total-tight's
+        for k1 in range(1, n1):
+            for k2 in range(1, n2):
+                yield B.UNION_SYMBOL_TIGHT, {"n1": n1, "n2": n2, "k1": k1, "k2": k2}
+                if k1 == k2 == 1:
+                    yield B.UNION_SC_TIGHT, {"n1": n1, "n2": n2}
+        for bound_id in (B.UNION_SYMBOL_MAX, B.UNION_MULTI_TIGHT, B.UNION_TOTAL_TIGHT,
+                         B.UNION_CYCLE_UPPER, B.INTERSECTION_TIGHT):
+            yield bound_id, {"n1": n1, "n2": n2}
+
     # generated lazily: each report keeps its own copy of the parameters
     plan = itertools.chain(
-        ((B.UNION_SYMBOL_TIGHT, {"n1": n1, "n2": n2, "k1": k1, "k2": k2})
-         for n1, n2 in grid for k1 in range(1, n1) for k2 in range(1, n2)),
-        ((bound_id, {"n1": n1, "n2": n2}) for n1, n2 in grid for bound_id in (
-            B.UNION_SYMBOL_MAX, B.UNION_MULTI_TIGHT, B.UNION_SC_TIGHT, B.UNION_TOTAL_TIGHT,
-            B.INTERSECTION_TIGHT)),
-        ((B.UNION_CYCLE_UPPER, {"n1": n1, "n2": n2}) for n1 in sizes for n2 in sizes if n1 <= n2),
+        (row for n1, n2 in grid for row in witness_rows(n1, n2)),
+        ((B.UNION_CYCLE_UPPER, {"n1": n1, "n2": n2})
+         for n1 in sizes for n2 in sizes if n1 <= n2 and (n1, n2) not in grid),
         ((B.UNARY_TIGHT, {"n1": n1, "n2": n2})
          for n1 in sizes for n2 in sizes if n1 >= 3 and n2 != n1 and math.gcd(n1, n2) == 1),
         ((B.UNARY_EXCEPTION, {"n": n}) for n in (2, 3)),
         ((B.COMPLEMENT_TIGHT, {"n": n}) for n in range(1, max_n + 1)),
         ((B.CONJECTURE_SMALL, {"m": m}) for m in (1, 2, 3)),
-        # rows that take the same sample run in a row, so one draw serves them
+        # rows that take the same sample run in a row, so it is drawn and measured once
         ((bound_id, {"pairs": pairs, "seed": seed}) for bound_id in (
             B.UNION_TOTAL_UPPER, B.UNION_SYMBOL_SOUND, B.INTERSECTION_UPPER,
             B.INTERSECTION_CONSTRUCTION_EXACT, B.COMPLEMENT_UPPER, B.UNION_CONSTRUCTION_EXACT)),
     )
-    token = _shared_samples.set({})
+    token = _shared.set([None, {}])
     try:
         reports = [check_bound(bound_id, params) for bound_id, params in plan]
     finally:
-        _shared_samples.reset(token)
+        _shared.reset(token)
     reports.sort(key=lambda r: (r.bound_id.value, tuple(sorted(r.params.items()))))
     return reports

@@ -57,19 +57,25 @@ def canonicalize(dfa: PartialDfa) -> PartialDfa:
 # One entry suffices for the exhaustive sweep, whose enumerator hands one
 # table to 2^n machines in a row.  The key is the table's content.
 @lru_cache(maxsize=1)
-def _search(table: tuple[int, ...], start: int, k: int) -> tuple[list[int], list[list[int]]]:
-    """The part of minimization that reads only the table: the states
-    reachable from ``start`` in BFS order, and ``pre``, where
-    ``pre[t*k + j]`` lists the reachable sources of j-moves into t."""
+def _search(table: tuple[int, ...], start: int, k: int) -> tuple[list[int], list[list[list[int]]], bool]:
+    """The part of minimization that reads only the table.
+
+    Returns the states reachable from ``start`` in BFS order; ``pre``,
+    where ``pre[j][t]`` lists the reachable sources of j-moves into t;
+    and whether that order is the identity, i.e. the reached states are
+    numbered as the BFS numbers them.
+    """
     order = _bfs_order(table, start, k)
-    pre = [[] for _ in table]
+    pre = []
     for j in range(k):
         column = table[j::k]  # column[q]: the target of q's j-move
+        into = [[] for _ in column]
         for q in order:
             t = column[q]
             if t >= 0:
-                pre[t * k + j].append(q)
-    return order, pre
+                into[t].append(q)
+        pre.append(into)
+    return order, pre, order == list(range(len(order)))
 
 
 def minimize(dfa: PartialDfa) -> PartialDfa:
@@ -88,7 +94,7 @@ def minimize(dfa: PartialDfa) -> PartialDfa:
     dropped, numbering canonical) it is returned itself, not a copy.
     """
     k, delta, start = len(dfa.alphabet), dfa.table, dfa.start
-    order, pre = _search(delta, start, k)  # cached for the next call: read only
+    order, pre, canonical = _search(delta, start, k)  # cached for the next call: read only
     # -1 dead or unreached (only reachable states are ever looked up), else the block
     block = [-1] * dfa.state_count
     live = [q for q in order if q in dfa.accepting]  # block 0, then block 1
@@ -96,8 +102,8 @@ def minimize(dfa: PartialDfa) -> PartialDfa:
     for q in live:
         block[q] = 0
     for t in live:  # co-accessible states, by one reverse search
-        for sources in pre[t * k:t * k + k]:
-            for s in sources:
+        for into in pre:
+            for s in into[t]:
                 if block[s] == -1:
                     block[s] = 1
                     live.append(s)
@@ -112,13 +118,12 @@ def minimize(dfa: PartialDfa) -> PartialDfa:
         b = waiting.pop()
         queued[b] = False
         splitter = list(blocks[b])
-        for j in range(k):
+        for into in pre:
             hit: dict[int, list[int]] = {}
             for t in splitter:
-                for s in pre[t * k + j]:
-                    c = block[s]
-                    if c >= 0:
-                        hit.setdefault(c, []).append(s)
+                # s is reachable and moves into a live state, so it is live: block[s] >= 0
+                for s in into[t]:
+                    hit.setdefault(block[s], []).append(s)
             for c, moved in hit.items():
                 rest = blocks[c]
                 if len(moved) < len(rest):
@@ -132,7 +137,7 @@ def minimize(dfa: PartialDfa) -> PartialDfa:
                     queued[push] = True
                     waiting.append(push)
 
-    if len(blocks) == dfa.state_count and order == list(range(len(order))):
+    if len(blocks) == dfa.state_count and canonical:
         return dfa  # every state is its own block, numbered as the BFS numbers it
     number = [-1] * len(blocks)  # block -> quotient state, in BFS order
     number[block[start]] = 0
