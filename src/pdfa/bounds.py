@@ -505,6 +505,7 @@ def _conjecture_small(m: int) -> Outcome:
 
 _SUITE_PARAMS = (("pairs", DEFAULT_PAIRS), ("seed", DEFAULT_SEED), ("max_states", DEFAULT_MAX_STATES))
 
+
 def _random_suite(
     pairs: int, seed: int, max_states: int, per_pair: Callable, require_incomplete: bool
 ) -> Outcome:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 
@@ -253,6 +254,80 @@ def test_run_suite_draws_each_sample_once(monkeypatch):
     check_bound("union-total-upper", params)
     check_bound("union-total-upper", params)
     assert len(calls) == 6
+
+
+def test_run_suite_measures_each_sampled_machine_once(monkeypatch):
+    operands, measured, unions = [], [], []  # each holds its machines, so no id is reused
+    draw, measure, union = pdfa.bounds.sample_pairs, pdfa.bounds.complexity, pdfa.bounds.union_product
+
+    def drawn(*args):
+        sample = draw(*args)
+        operands.extend(sample)
+        return sample
+
+    def counted(dfa):
+        measured.append(dfa)
+        return measure(dfa)
+
+    def built(a, b):
+        unions.append((a, b))
+        return union(a, b)
+
+    monkeypatch.setattr(pdfa.bounds, "sample_pairs", drawn)
+    monkeypatch.setattr(pdfa.bounds, "complexity", counted)
+    monkeypatch.setattr(pdfa.bounds, "union_product", built)
+    run_suite(max_n=3, pairs=5)
+    assert len(operands) == 10
+    times = Counter(id(dfa) for dfa in measured)
+    assert max(times[id(dfa)] for pair in operands for dfa in pair) == 1
+    # union-total-upper and union-symbol-sound share each pair's union
+    times = Counter((id(a), id(b)) for a, b in unions)
+    assert max(times[id(a), id(b)] for a, b in operands) == 1
+
+
+def test_run_suite_measures_each_witness_product_once(monkeypatch):
+    measured = Counter()
+    minimize = pdfa.bounds.minimize
+
+    def counted(dfa):
+        measured[dfa] += 1
+        return minimize(dfa)
+
+    monkeypatch.setattr(pdfa.bounds, "minimize", counted)
+    run_suite(max_n=5, pairs=1)
+    # the unary rows minimize equal products for (n1, n2) and (n2, n1); no other row repeats
+    assert [dfa for dfa, n in measured.items() if n > 1 and len(dfa.alphabet) > 1] == []
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_run_suite_reports_equal_their_rows_run_alone(seed):
+    reports = run_suite(max_n=5, pairs=20, seed=seed)
+    assert len(reports) == 91
+    for report in reports:
+        assert check_bound(report.bound_id, report.params) == report
+
+
+def test_run_suite_drops_its_store_when_it_returns_or_raises(monkeypatch):
+    stores = []
+    draw = pdfa.bounds.sample_pairs
+
+    def drawn(*args):
+        stores.append(pdfa.bounds._shared.get())
+        return draw(*args)
+
+    monkeypatch.setattr(pdfa.bounds, "sample_pairs", drawn)
+    run_suite(max_n=3, pairs=5)
+    assert stores[0] is not None
+    assert pdfa.bounds._shared.get() is None
+
+    def failing(*_counts):
+        raise RuntimeError("row failed")
+
+    # union-total-upper's closed form: it raises once the store holds the sample
+    monkeypatch.setattr(pdfa.bounds, "union_total_upper", failing)
+    with pytest.raises(RuntimeError, match="row failed"):
+        run_suite(max_n=3, pairs=5)
+    assert pdfa.bounds._shared.get() is None
 
 
 def test_construction_exactness_suite_is_clean():
