@@ -3,10 +3,13 @@
 Exhaustively lists every connected canonical partial DFA up to a size
 cap and uses the list to check that minimization achieves the minimum
 total and per-symbol transition counts for every language at desk
-scale.  ``brute_min_transitions`` trusts no minimizer.  ``verify_lemma1``
-groups machines by their ``minimize`` output, so it catches a minimizer
-that changes a language or misses a minimum, but passes one that never
-merges.
+scale.  Neither oracle trusts a minimizer.  ``brute_min_transitions``
+compares machines by pair exploration.  ``verify_lemma1`` groups
+machines by language, keyed by the acceptance bits of every word up to
+a length past which no two of its machines can agree (Moore's bound),
+and requires ``minimize`` to return each group's first machine, so a
+minimizer that never merges, merges wrongly or changes a language
+fails it.
 
 Canonical enumeration trick: a connected DFA is a fixed point of
 breadth-first renumbering exactly when, scanning its transition table
@@ -166,23 +169,53 @@ class Lemma1Report:
         return not self.counterexamples
 
 
+def _reached(table: tuple[int, ...], k: int, depth: int) -> bytes:
+    """The state each word of length at most ``depth`` reaches from state
+    0, one byte a word, 255 where the word falls off an undefined move.
+
+    Words come by length, then by number with the first symbol as the
+    lowest base-k digit, so appending symbol j to every word of one level
+    maps that level through column j: the next level is the level
+    translated by each column in turn.
+    """
+    columns = [bytes(t & 255 for t in table[j::k]).ljust(256, b"\xff") for j in range(k)]
+    level = reached = b"\x00"
+    for _ in range(depth):
+        level = b"".join(level.translate(column) for column in columns)
+        reached += level
+    return reached
+
+
+def _indicator(accepting: frozenset[int]) -> bytes:
+    """The byte map that sends accepting states to 1 and all else to 0."""
+    return bytes(q in accepting for q in range(256))
+
+
 def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
     """Certify the minimizer against brute force, language by language.
 
     Enumerates every connected canonical partial DFA with up to
-    max_states+1 states, groups them by minimize() output, and checks for
-    each group whose minimal DFA fits in max_states that minimize()
-    simultaneously achieves the group's minimum state count, total
-    transition count, and per-symbol transition counts, and that the
-    minimal DFA's undefined-move count per symbol equals sc minus the
-    certified per-symbol minimum.
+    cap = max_states+1 states and groups them by language.  A machine's
+    key is the acceptance bit of every word of length at most 2*cap - 1,
+    read off the states ``_reached`` lists for its table.  The key is
+    exact: two inequivalent machines with n1, n2 <= cap states, plus one
+    dead state they share, make a complete DFA of at most n1 + n2 + 1
+    states, so Moore's refinement ("Gedanken-experiments on sequential
+    machines", 1956) separates them by a word of length at most
+    n1 + n2 - 1.
 
-    Groups are keyed by minimize()'s canonical output.  Every enumerated
-    DFA is checked, by minimization-free pair exploration, to recognize
-    the language of its key, so a minimizer that changes a language
-    surfaces as a counterexample.  The key is not independent of the
-    minimizer, though: one that never merges splits a language into
-    several groups, each of which it then meets, and it passes.
+    The enumerator yields machines in order of state count and each
+    isomorphism class once, so the first machine with a key is its
+    language's minimal partial DFA.  The certificate rests on that order:
+    a stream whose state count falls raises ValueError.  For every
+    machine, ``canonicalize(minimize(a))`` must equal the first machine of
+    its group; a minimizer that changes a language, never merges or
+    merges wrongly fails here.  Each language whose minimal DFA fits in
+    max_states must then have that DFA achieve the group's minimum total
+    and per-symbol transition counts.  As sc is the minimal DFA's own
+    state count, the per-symbol check is also the identity "undefined
+    moves on a symbol = sc - its certified minimum".  Only those groups
+    are held; a cap-state machine with a new key has no other member.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
@@ -194,54 +227,57 @@ def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
             f"must be at most {limit - 1}, got {max_states}"
         )
     cap = max_states + 1
-    # minimal DFA -> [its rendering, [min states, min total, per-symbol minima...]]
-    groups: dict[PartialDfa, list] = {}
+    depth = 2 * cap - 1
+    # language key -> [its minimal DFA's rendering, that DFA, [min total, per-symbol minima...]]
+    groups: dict[bytes, list] = {}
+    indicators: dict[frozenset[int], bytes] = {}
     checked = 0
     bad: list[str] = []
     table = None
+    size = 0
     for a in _all_dfas(cap, alphabet):
         checked += 1
         m = canonicalize(minimize(a))
-        if not pair_equivalent(a, m):
-            bad.append("minimize() changed the language of:\n" + render_dfa(a))
-            continue
         if a.table is not table:  # the enumerator hands one table to 2^n DFAs in a row
-            table = a.table
+            if a.state_count < size:
+                raise ValueError(
+                    f"verify_lemma1 needs its DFAs in order of state count, "
+                    f"got {a.state_count} states after {size}"
+                )
+            table, size = a.table, a.state_count
             counts = transition_counts(a)
-            sizes = [a.state_count, counts.total, *(counts.per_symbol[sym] for sym in alphabet)]
-        g = groups.get(m)
-        if g is None:
-            groups[m] = [render_dfa(m), sizes]
+            sizes = [counts.total, *(counts.per_symbol[sym] for sym in alphabet)]
+            reached = _reached(table, len(alphabet), depth)
+        indicator = indicators.get(a.accepting)
+        if indicator is None:
+            indicator = indicators[a.accepting] = _indicator(a.accepting)
+        key = reached.translate(indicator)
+        g = groups.get(key)
+        if g is None:  # a new language: a is its minimal DFA
+            first = a
+            text = render_dfa(a)  # also out of scope: perfbench's trace counts languages by it
+            if size <= max_states:
+                groups[key] = [text, a, sizes]
         else:
-            g[1] = [*map(min, g[1], sizes)]
+            first = g[1]
+            g[2] = [*map(min, g[2], sizes)]
+        if m != first:
+            what = "is not the minimal DFA" if pair_equivalent(a, m) else "changed the language"
+            bad.append(f"minimize() {what} of:\n" + render_dfa(a))
 
-    # languages past max_states exist only at the padding layer: out of scope
-    in_scope = [(key, minima, m) for m, (key, minima) in groups.items() if m.state_count <= max_states]
-    in_scope.sort(key=lambda g: g[0])
-    for key, (min_states, min_total, *min_per), m in in_scope:
+    in_scope = sorted(groups.values(), key=lambda g: g[0])
+    for text, m, (min_total, *min_per) in in_scope:
         mc = transition_counts(m)
-        if m.state_count != min_states:
-            bad.append(
-                f"state count: minimize() gives {m.state_count}, "
-                f"but {min_states} states suffice for:\n{key}"
-            )
         if mc.total != min_total:
             bad.append(
-                f"total transitions: minimize() gives {mc.total}, "
-                f"but {min_total} are achievable for:\n{key}"
+                f"total transitions: the minimal DFA has {mc.total}, "
+                f"but {min_total} are achievable for:\n{text}"
             )
         for sym, least in zip(alphabet, min_per):
             if mc.per_symbol[sym] != least:
                 bad.append(
-                    f"{sym!r}-transitions: minimize() gives {mc.per_symbol[sym]}, "
-                    f"but {least} are achievable for:\n{key}"
-                )
-            undefined = m.state_count - mc.per_symbol[sym]
-            if undefined != min_states - least:
-                bad.append(
-                    f"undefined-count identity fails on {sym!r}: "
-                    f"{undefined} undefined moves vs sc - tc_{sym} = "
-                    f"{min_states - least} for:\n{key}"
+                    f"{sym!r}-transitions: the minimal DFA has {mc.per_symbol[sym]}, "
+                    f"but {least} are achievable for:\n{text}"
                 )
     return Lemma1Report(
         max_states=max_states,

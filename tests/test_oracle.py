@@ -1,6 +1,9 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pdfa import (
     Alphabet,
@@ -9,16 +12,21 @@ from pdfa import (
     empty_language_dfa,
     equivalent,
     is_connected,
+    minimize,
     pair_equivalent,
     render_dfa,
 )
 from pdfa.oracle import (
     _all_dfas,
+    _indicator,
+    _reached,
     brute_min_transitions,
     enumerate_dfas,
     verify_lemma1,
 )
 from pdfa.witnesses import epsilon_lang, unary_singleton, union_symbol_witness
+
+from test_minimize import _never_merges, _one_wrong_merge
 
 
 def naive_class_renderings(max_states: int, alphabet: Alphabet) -> set[str]:
@@ -193,21 +201,96 @@ def test_lemma1_catches_a_broken_minimizer(monkeypatch):
     assert any("changed the language" in c for c in report.counterexamples)
 
 
-def test_lemma1_bookkeeping_does_not_depend_on_order(monkeypatch):
-    """The stream reversed, largest machines first, and every table a fresh
-    tuple: the per-table counts and the per-language minima still agree."""
+def _identity(d: PartialDfa) -> PartialDfa:
+    return d
+
+
+@pytest.mark.parametrize("mutant, message, counts", [
+    (_identity, "is not the minimal DFA", (2546, 430, 770)),
+    (_never_merges, "is not the minimal DFA", (772, 248, 98)),
+    (_one_wrong_merge, "changed the language", (1906, 243, 415)),
+])
+def test_lemma1_catches_a_minimizer_that_misses_the_minimal_dfa(monkeypatch, mutant, message, counts):
+    """A minimizer that returns its input, only trims, or folds two states
+    fails the sweep: it does not return each language's first machine.
+    The first two keep every language; grouping by their own output
+    passed them."""
+    import pdfa.oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "minimize", mutant)
+    for (max_states, symbols), count in zip([(2, "ab"), (5, "b"), (1, "abc")], counts):
+        report = oracle_mod.verify_lemma1(max_states, Alphabet(symbols))
+        assert not report.ok
+        assert len(report.counterexamples) == count
+        assert all(c.startswith(f"minimize() {message} of:\n") for c in report.counterexamples)
+
+
+def test_lemma1_bookkeeping_does_not_depend_on_table_identity(monkeypatch):
+    """Every table a fresh tuple, in enumeration order: the per-table
+    counts, keys and per-language minima still agree."""
     import pdfa.oracle as oracle_mod
 
     alphabet = Alphabet("ab")
     expected = verify_lemma1(2, alphabet)
     stream = list(oracle_mod._all_dfas(3, alphabet))
 
-    def reversed_stream(max_states, alphabet):
+    def fresh_tables(max_states, alphabet):
         assert max_states == 3
-        for d in reversed(stream):
+        for d in stream:
             yield PartialDfa.from_table(d.alphabet, d.state_count, d.start, d.accepting, list(d.table))
 
-    monkeypatch.setattr(oracle_mod, "_all_dfas", reversed_stream)
+    monkeypatch.setattr(oracle_mod, "_all_dfas", fresh_tables)
     report = oracle_mod.verify_lemma1(2, alphabet)
     assert report == expected
     assert report.ok and report.dfas_checked == 6716
+
+
+def test_lemma1_rejects_a_stream_out_of_size_order(monkeypatch):
+    """The first machine of a language is its minimal DFA only in a
+    size-ordered stream, so a stream whose state count falls is refused."""
+    import pdfa.oracle as oracle_mod
+
+    stream = list(oracle_mod._all_dfas(3, Alphabet("ab")))
+    monkeypatch.setattr(oracle_mod, "_all_dfas", lambda max_states, alphabet: reversed(stream))
+    with pytest.raises(ValueError, match="in order of state count, got 2 states after 3$"):
+        oracle_mod.verify_lemma1(2, Alphabet("ab"))
+
+
+def _key(d: PartialDfa, depth: int) -> bytes:
+    return _reached(d.table, len(d.alphabet), depth).translate(_indicator(d.accepting))
+
+
+@pytest.mark.parametrize("max_states, symbols, languages", [(3, "ab", 4170), (6, "b", 338), (2, "abc", 1298)])
+def test_language_key_matches_the_minimal_forms(max_states, symbols, languages):
+    """Over every DFA with at most cap states, keyed at depth 2*cap - 1 as
+    the sweep keys them, a DFA shares its key with its minimal form and
+    there are as many keys as minimal forms."""
+    depth = 2 * max_states - 1
+    keys, forms = set(), set()
+    for d in _all_dfas(max_states, Alphabet(symbols)):
+        m = canonicalize(minimize(d))
+        key = _key(d, depth)
+        assert key == _key(m, depth)
+        keys.add(key)
+        forms.add(m)
+    assert len(keys) == len(forms) == languages
+
+
+@functools.cache
+def _languages(symbols: str, max_states: int) -> list[list[PartialDfa]]:
+    groups: dict[PartialDfa, list[PartialDfa]] = {}
+    for d in _all_dfas(max_states, Alphabet(symbols)):
+        groups.setdefault(minimize(d), []).append(d)
+    return list(groups.values())
+
+
+@given(data=st.data(), space=st.sampled_from([("ab", 3), ("b", 6), ("abc", 2)]), same=st.booleans())
+def test_equal_keys_are_equal_languages(data, space, same):
+    """On enumerated pairs, drawn from one language or from any two:
+    equal keys exactly when pair exploration finds the languages equal."""
+    groups = _languages(*space)
+    group = data.draw(st.sampled_from(groups))
+    a = data.draw(st.sampled_from(group))
+    b = data.draw(st.sampled_from(group if same else data.draw(st.sampled_from(groups))))
+    depth = 2 * space[1] - 1
+    assert (_key(a, depth) == _key(b, depth)) == pair_equivalent(a, b)
