@@ -3,12 +3,13 @@
 Each check is one row of a claim table run by ``check_bound``: it
 constructs witness DFAs (or draws seeded random ones), builds the
 Boolean-operation result, measures real complexities via minimization,
-evaluates the closed-form bound, and classifies the outcome:
+evaluates the closed-form bound, and classifies the outcome (a check
+that is not EQUAL, or has a note, is flagged and renders its machines):
 
 * ``EQUAL`` -- measured value matches the formula exactly;
 * ``WITHIN_BOUND`` -- measured value is under an upper bound (or, for
   the unary-exception probe, differs from a disputed reference value,
-  which is flagged in the details rather than failed);
+  which is flagged in the note rather than failed);
 * ``VIOLATION`` -- an upper bound is exceeded, or a claimed-tight
   equality does not hold.
 
@@ -149,7 +150,8 @@ class BoundCheckReport:
     """One bound check: what was claimed, what was measured, verdict.
 
     ``details`` is free text; its first line is a short note (shown in
-    tables), any following lines carry artifact renderings.
+    tables).  Only a flagged check (not EQUAL, or with a note) has more:
+    a rendering of each machine it measured.
     """
 
     bound_id: BoundId
@@ -650,7 +652,8 @@ def check_bound(bound_id: BoundId | str, params: Mapping[str, int] | None = None
             f"this tightness claim requires relatively prime cycle lengths; gcd({p['n1']}, {p['n2']}) = {g}"
         )
     formula, measured, relation, note, machines = claim.body(**p)
-    details = note + "\n" + "".join(render_dfa(m) for m in machines)
+    flagged = relation is not Relation.EQUAL or note  # a clean EQUAL check renders nothing
+    details = note + "\n" + "".join(render_dfa(m) for m in machines) if flagged else ""
     return BoundCheckReport(bound_id, p, formula, measured, relation, details=details)
 
 

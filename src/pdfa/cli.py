@@ -32,7 +32,7 @@ from .witnesses import WitnessFamily, build_witness
 def _load(path: str) -> PartialDfa:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     return parse_dfa(text)
 

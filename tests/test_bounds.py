@@ -1,11 +1,14 @@
 import hashlib
+import json
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import pdfa.bounds
-from pdfa import render_dfa
+from pdfa import parse_dfa, render_dfa
 from pdfa.bounds import (
     DEFAULT_SEED,
     BoundCheckReport,
@@ -361,6 +364,56 @@ def test_report_note_is_first_detail_line():
     assert BoundCheckReport(
         BoundId.UNION_TOTAL_UPPER, {}, 1, 1, Relation.EQUAL
     ).note == ""
+
+
+def test_clean_equal_check_has_no_details():
+    rep = check_bound(BoundId.UNION_SYMBOL_TIGHT, {"n1": 2, "n2": 3})
+    assert (rep.relation, rep.note, rep.details) == (Relation.EQUAL, "", "")
+
+
+def _force_violation(monkeypatch):
+    # the complement of the singleton is the singleton itself: tc 3 against the bound 10
+    monkeypatch.setattr(pdfa.bounds, "complement", lambda dfa: dfa)
+
+
+@pytest.mark.parametrize("bound_id, params, relation, force", [
+    (BoundId.UNION_CYCLE_UPPER, {"n1": 2, "n2": 4}, Relation.WITHIN_BOUND, None),
+    (BoundId.CONJECTURE_SMALL, {"m": 2}, Relation.EQUAL, None),
+    (BoundId.COMPLEMENT_TIGHT, {"n": 3}, Relation.VIOLATION, _force_violation),
+])
+def test_flagged_check_renders_the_machines_it_measured(bound_id, params, relation, force, monkeypatch):
+    if force:
+        force(monkeypatch)
+    measured = []
+    minimize = pdfa.bounds.minimize
+
+    def kept(dfa):
+        measured.append(minimize(dfa))
+        return measured[-1]
+
+    monkeypatch.setattr(pdfa.bounds, "minimize", kept)
+    rep = check_bound(bound_id, params)
+    assert rep.relation is relation
+    assert (rep.note != "") == (relation is Relation.EQUAL)  # flagged by its note or its verdict
+    note, rest = rep.details.split("\n", 1)
+    assert note == rep.note
+    renderings = re.split(r"(?m)^(?=alphabet )", rest)[1:]
+    assert "".join(renderings) == rest
+    assert [parse_dfa(text) for text in renderings] == measured != []
+
+
+def test_only_flagged_reports_carry_renderings():
+    reports = run_suite(5, 0, 20)
+    flagged = [r for r in reports if r.relation is not Relation.EQUAL or r.note]
+    assert [r for r in reports if r.details] == flagged
+    assert (len(flagged), len(reports)) == (16, 91)
+    assert all(r.details.split("\n", 1)[1].startswith("alphabet ") for r in flagged)
+
+
+def test_full_size_report_matches_the_benchmark_pin():
+    pins = json.loads((Path(__file__).parents[1] / "perfbench" / "pins.json").read_text())
+    table = render_report_table(run_suite(11, 1, 1000))
+    assert hashlib.sha256(table.encode()).hexdigest() == pins["bounds-suite"]["full"]["1"]
 
 
 def test_run_suite_small_grid_has_no_violations():

@@ -40,6 +40,15 @@ def test_analyze_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_analyze_file_that_is_not_utf8(tmp_path, capsys):
+    binary = tmp_path / "binary.pdfa"
+    binary.write_bytes(b"\xff\xfe\x00alphabet a\n")
+    assert main(["analyze", str(binary)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {binary}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def test_analyze_writes_dot(witness_file, tmp_path, capsys):
     path = witness_file(unary_cycle(3))
     dot = tmp_path / "out.dot"
