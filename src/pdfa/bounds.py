@@ -652,7 +652,7 @@ def check_bound(bound_id: BoundId | str, params: Mapping[str, int] | None = None
             f"this tightness claim requires relatively prime cycle lengths; gcd({p['n1']}, {p['n2']}) = {g}"
         )
     formula, measured, relation, note, machines = claim.body(**p)
-    flagged = relation is not Relation.EQUAL or note  # a clean EQUAL check renders nothing
+    flagged = relation is not Relation.EQUAL or note  # no one reads a clean check's machines
     details = note + "\n" + "".join(render_dfa(m) for m in machines) if flagged else ""
     return BoundCheckReport(bound_id, p, formula, measured, relation, details=details)
 

@@ -371,19 +371,15 @@ def test_clean_equal_check_has_no_details():
     assert (rep.relation, rep.note, rep.details) == (Relation.EQUAL, "", "")
 
 
-def _force_violation(monkeypatch):
-    # the complement of the singleton is the singleton itself: tc 3 against the bound 10
-    monkeypatch.setattr(pdfa.bounds, "complement", lambda dfa: dfa)
-
-
-@pytest.mark.parametrize("bound_id, params, relation, force", [
-    (BoundId.UNION_CYCLE_UPPER, {"n1": 2, "n2": 4}, Relation.WITHIN_BOUND, None),
-    (BoundId.CONJECTURE_SMALL, {"m": 2}, Relation.EQUAL, None),
-    (BoundId.COMPLEMENT_TIGHT, {"n": 3}, Relation.VIOLATION, _force_violation),
+@pytest.mark.parametrize("bound_id, params, relation", [
+    (BoundId.UNION_CYCLE_UPPER, {"n1": 2, "n2": 4}, Relation.WITHIN_BOUND),
+    (BoundId.CONJECTURE_SMALL, {"m": 2}, Relation.EQUAL),
+    (BoundId.COMPLEMENT_TIGHT, {"n": 3}, Relation.VIOLATION),
 ])
-def test_flagged_check_renders_the_machines_it_measured(bound_id, params, relation, force, monkeypatch):
-    if force:
-        force(monkeypatch)
+def test_flagged_check_renders_the_machines_it_measured(bound_id, params, relation, monkeypatch):
+    if relation is Relation.VIOLATION:
+        # a complement that returns the singleton itself: tc 3 against the bound 10
+        monkeypatch.setattr(pdfa.bounds, "complement", lambda dfa: dfa)
     measured = []
     minimize = pdfa.bounds.minimize
 
