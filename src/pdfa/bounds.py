@@ -21,6 +21,8 @@ law).
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import math
 import random
@@ -220,6 +222,8 @@ def sample_connected_dfa(
     automorphisms, so every canonical form of a given state count is hit
     with equal probability.  Only an accepted draw becomes a PartialDfa.
     """
+    if state_count < 1:
+        raise ValueError(f"a connected DFA needs at least one state, got {state_count}")
     n, k = state_count, len(alphabet)
     # each slot is rng.choice(range(-1, n)), inlined: the same words from the stream
     width, bit = (n + 1).bit_length(), rng.getrandbits
@@ -261,34 +265,23 @@ def sample_pairs(
 # --- the claim table --------------------------------------------------------
 
 Outcome = tuple[int, int, Relation, str, Sequence[PartialDfa]]
-Default = int | Callable[[Mapping[str, int]], int] | None
+
+# one row per BoundId: (body, the body's parameters, whether n1 and n2 must be coprime)
+_CLAIMS: dict[BoundId, tuple[Callable[..., Outcome], Mapping[str, inspect.Parameter], bool]] = {}
 
 
-@dataclass(frozen=True)
-class _Claim:
-    """One row of the claim table: one per BoundId.
+def _claim(bound_id: BoundId, coprime: bool = False):
+    """Register the decorated body as ``bound_id``'s row of the claim table.
 
-    ``params`` are the parameters the claim takes, in report order with
-    their defaults: ``None`` makes one required, a callable computes it
-    from the parameters before it.  check_bound parses them and calls
-    ``body`` with them as keyword arguments; the body returns
-    (formula, measured, relation, note, machines to render).
+    The body's signature lists the row's parameters in report order: one
+    without a default is required, and a callable default computes the
+    value from the parameters before it.  check_bound calls the body with
+    them as keyword arguments; it returns (formula, measured, relation,
+    note, machines to render).
     """
 
-    params: tuple[tuple[str, Default], ...]
-    body: Callable[..., Outcome]
-    coprime: bool = False
-
-
-_CLAIMS: dict[BoundId, _Claim] = {}
-
-
-def _claim(bound_id: BoundId, *params: str | tuple[str, Default], coprime: bool = False):
-    """Register the decorated body as ``bound_id``'s row; a bare name is required."""
-
     def register(body):
-        rows = tuple(p if isinstance(p, tuple) else (p, None) for p in params)
-        _CLAIMS[bound_id] = _Claim(rows, body, coprime)
+        _CLAIMS[bound_id] = (body, inspect.signature(body).parameters, coprime)
         return body
 
     return register
@@ -304,29 +297,21 @@ def _relation(measured: int, formula: int, tight: bool = True, failed: bool = Fa
     return Relation.VIOLATION if tight or measured > formula else Relation.WITHIN_BOUND
 
 
-# What run_suite's checks share while it runs; None outside a run, where each
-# check computes everything afresh.  It holds one scope at a time, as
-# [scope, {key: value}]: a sample with the counts of its operands and their
-# unions, or one witness product.  Keys are values, never identities, so an
-# entry is right in any scope; the scope only bounds how long it lives.
-_shared: ContextVar[list | None] = ContextVar("_shared", default=None)
+# What the rows of one run_suite group share: one witness product, or one
+# sample with the counts of its operands and their unions.  None outside a
+# group, where each check computes everything afresh.  Keys are values, never
+# identities, so an entry is right wherever it is found.
+_shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
 
 
-def _kept(key, compute: Callable, scope=None):
-    """``compute()``, computed once per run_suite run while the store's scope lasts.
-
-    A ``scope`` other than the store's first drops what the store holds,
-    so the last scope's entries go before the next one's are computed.
-    """
+def _kept(key, compute: Callable):
+    """``compute()``, computed once per run_suite group."""
     store = _shared.get()
     if store is None:
         return compute()
-    if scope is not None and scope != store[0]:
-        store[:] = [scope, {}]
-    entries = store[1]
-    value = entries.get(key)
+    value = store.get(key)
     if value is None:
-        value = entries[key] = compute()
+        value = store[key] = compute()
     return value
 
 
@@ -338,32 +323,26 @@ def _measured(dfa: PartialDfa) -> tuple[PartialDfa, int, dict[str, int]]:
 
 def _symbol_witness_union(n1: int, n2: int, k1: int, k2: int) -> tuple[PartialDfa, int, dict[str, int]]:
     """The measured union of two symbol witnesses; measured once for the rows
-    of a run that take it (union-symbol-tight, -max and union-sc-tight)."""
-
-    def measure():
-        w1 = union_symbol_witness(n1, k1, alphabet=_BC)
-        w2 = union_symbol_witness(n2, k2, alphabet=_BC)
-        return _measured(union_product(w1, w2))
-
-    key = ("symbol", n1, n2, k1, k2)  # a product is its own scope
-    return _kept(key, measure, scope=key)
+    of a group that take it (union-symbol-tight, -max and union-sc-tight)."""
+    return _kept(("symbol", n1, n2, k1, k2), lambda: _measured(union_product(
+        union_symbol_witness(n1, k1, alphabet=_BC), union_symbol_witness(n2, k2, alphabet=_BC))))
 
 
-@_claim(BoundId.UNION_SYMBOL_TIGHT, "n1", "n2", ("k1", 1), ("k2", 1), coprime=True)
-def _union_symbol_tight(n1: int, n2: int, k1: int, k2: int) -> Outcome:
+@_claim(BoundId.UNION_SYMBOL_TIGHT, coprime=True)
+def _union_symbol_tight(n1: int, n2: int, k1: int = 1, k2: int = 1) -> Outcome:
     m, _total, per = _symbol_witness_union(n1, n2, k1, k2)
     formula = union_symbol_upper(k1, k2, n1, n2)
     return formula, per["b"], _relation(per["b"], formula), "", (m,)
 
 
-@_claim(BoundId.UNION_SYMBOL_MAX, "n1", "n2", coprime=True)
+@_claim(BoundId.UNION_SYMBOL_MAX, coprime=True)
 def _union_symbol_max(n1: int, n2: int) -> Outcome:
     return _union_symbol_tight(n1, n2, n1 - 1, n2 - 1)  # n1*n2 + n1 + n2 - 3
 
 
-@_claim(BoundId.UNION_MULTI_TIGHT, "n1", "n2", ("ka1", 1), ("kb1", lambda p: max(1, p["n1"] - 1)),
-        ("ka2", 1), ("kb2", lambda p: max(1, p["n2"] - 1)), coprime=True)
-def _union_multi_tight(n1: int, n2: int, ka1: int, kb1: int, ka2: int, kb2: int) -> Outcome:
+@_claim(BoundId.UNION_MULTI_TIGHT, coprime=True)
+def _union_multi_tight(n1: int, n2: int, ka1: int = 1, kb1=lambda p: max(1, p["n1"] - 1),
+                       ka2: int = 1, kb2=lambda p: max(1, p["n2"] - 1)) -> Outcome:
     w1 = union_multi_witness(n1, {"a": ka1, "b": kb1}, alphabet=_ABC)
     w2 = union_multi_witness(n2, {"a": ka2, "b": kb2}, alphabet=_ABC)
     m, _total, per = _measured(union_product(w1, w2))
@@ -375,8 +354,8 @@ def _union_multi_tight(n1: int, n2: int, ka1: int, kb1: int, ka2: int, kb2: int)
     return formula, measured, _relation(measured, formula, failed=bool(mismatches)), note, (m,)
 
 
-@_claim(BoundId.UNION_SC_TIGHT, "n1", "n2", ("k1", 1), ("k2", 1), coprime=True)
-def _union_sc_tight(n1: int, n2: int, k1: int, k2: int) -> Outcome:
+@_claim(BoundId.UNION_SC_TIGHT, coprime=True)
+def _union_sc_tight(n1: int, n2: int, k1: int = 1, k2: int = 1) -> Outcome:
     m, _total, _per = _symbol_witness_union(n1, n2, k1, k2)
     formula = union_state_upper(n1, n2)
     return formula, m.state_count, _relation(m.state_count, formula), "", (m,)
@@ -384,22 +363,19 @@ def _union_sc_tight(n1: int, n2: int, k1: int, k2: int) -> Outcome:
 
 def _union_total_pair(n1: int, n2: int) -> tuple[int, int, PartialDfa, int]:
     """tc of both minimal-total witnesses, and the minimized union with its tc;
-    measured once for the rows of a run that take it (union-total-tight and
+    measured once for the rows of a group that take it (union-total-tight and
     union-cycle-upper)."""
 
     def measure():
         w1 = union_total_witness(n1, "a", "c", alphabet=_ABC)
         w2 = union_total_witness(n2, "b", "c", alphabet=_ABC)
-        t1 = complexity(w1).tc
-        t2 = complexity(w2).tc
         m, measured, _per = _measured(union_product(w1, w2))
-        return t1, t2, m, measured
+        return complexity(w1).tc, complexity(w2).tc, m, measured
 
-    key = ("total", n1, n2)  # a product is its own scope
-    return _kept(key, measure, scope=key)
+    return _kept(("total", n1, n2), measure)
 
 
-@_claim(BoundId.UNION_TOTAL_TIGHT, "n1", "n2", coprime=True)
+@_claim(BoundId.UNION_TOTAL_TIGHT, coprime=True)
 def _union_total_tight(n1: int, n2: int) -> Outcome:
     t1, t2, m, measured = _union_total_pair(n1, n2)
     formula = union_total_lower(t1, t2)
@@ -408,7 +384,7 @@ def _union_total_tight(n1: int, n2: int) -> Outcome:
     return formula, measured, _relation(measured, formula, failed=not premise), note, (m,)
 
 
-@_claim(BoundId.UNION_CYCLE_UPPER, "n1", "n2")
+@_claim(BoundId.UNION_CYCLE_UPPER)
 def _union_cycle_upper(n1: int, n2: int) -> Outcome:
     t1, t2, m, measured = _union_total_pair(n1, n2)
     formula = union_total_lower(t1, t2)
@@ -418,15 +394,15 @@ def _union_cycle_upper(n1: int, n2: int) -> Outcome:
     return formula, measured, _relation(measured, formula, tight=coprime), note, (m,)
 
 
-@_claim(BoundId.INTERSECTION_TIGHT, "n1", "n2", coprime=True)
+@_claim(BoundId.INTERSECTION_TIGHT, coprime=True)
 def _intersection_tight(n1: int, n2: int) -> Outcome:
     m, measured, _per = _measured(intersection_product(unary_cycle(n1), unary_cycle(n2)))
     formula = intersection_upper(n1, n2)
     return formula, measured, _relation(measured, formula), "", (m,)
 
 
-@_claim(BoundId.COMPLEMENT_TIGHT, "n", ("sigma", 2))
-def _complement_tight(n: int, sigma: int) -> Outcome:
+@_claim(BoundId.COMPLEMENT_TIGHT)
+def _complement_tight(n: int, sigma: int = 2) -> Outcome:
     if not 1 <= sigma <= 3:
         raise ValueError(f"sigma must be 1..3, got {sigma}")
     w = unary_singleton(n, alphabet=Alphabet("abc"[:sigma]))
@@ -437,7 +413,7 @@ def _complement_tight(n: int, sigma: int) -> Outcome:
     return formula, measured, _relation(measured, formula, failed=t != n), note, (m,)
 
 
-@_claim(BoundId.UNARY_TIGHT, "n1", "n2", coprime=True)
+@_claim(BoundId.UNARY_TIGHT, coprime=True)
 def _unary_tight(n1: int, n2: int) -> Outcome:
     if n1 < 3 or n2 < 2:
         raise ValueError(
@@ -452,7 +428,7 @@ def _unary_tight(n1: int, n2: int) -> Outcome:
     return formula, measured, _relation(measured, formula), "", (m,)
 
 
-@_claim(BoundId.UNARY_EXCEPTION, "n")
+@_claim(BoundId.UNARY_EXCEPTION)
 def _unary_exception(n: int) -> Outcome:
     if n < 2:
         raise ValueError(f"the exception probe needs n >= 2, got {n}")
@@ -479,7 +455,7 @@ def _unary_exception(n: int) -> Outcome:
     return reference, measured, relation, note, (m,)
 
 
-@_claim(BoundId.CONJECTURE_SMALL, "m")
+@_claim(BoundId.CONJECTURE_SMALL)
 def _conjecture_small(m: int) -> Outcome:
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -505,12 +481,8 @@ def _conjecture_small(m: int) -> Outcome:
 
 # --- seeded random suites ---------------------------------------------------
 
-_SUITE_PARAMS = (("pairs", DEFAULT_PAIRS), ("seed", DEFAULT_SEED), ("max_states", DEFAULT_MAX_STATES))
-
-
-def _random_suite(
-    pairs: int, seed: int, max_states: int, per_pair: Callable, require_incomplete: bool
-) -> Outcome:
+def _random_suite(per_pair: Callable, require_incomplete: bool, pairs: int = DEFAULT_PAIRS,
+                  seed: int = DEFAULT_SEED, max_states: int = DEFAULT_MAX_STATES) -> Outcome:
     """Shared driver for the seeded soundness/exactness suites over ``pairs`` pairs.
 
     The reported formula/measured values belong to the worst pair
@@ -520,8 +492,7 @@ def _random_suite(
     if pairs < 1:
         raise ValueError(f"need at least one pair, got {pairs}")
     key = (seed, pairs, max_states, require_incomplete)
-    # the sample is the store's scope: rows that take it draw it, and measure its operands, once
-    sample = _kept("sample", lambda: sample_pairs(*key), scope=key)
+    sample = _kept(key, lambda: sample_pairs(*key))
     worst: tuple[int, int, int, tuple[PartialDfa, PartialDfa]] | None = None
     violations = 0
     for a, b in sample:
@@ -538,9 +509,7 @@ def _random_suite(
 
 def _suite(bound_id: BoundId, per_pair: Callable, require_incomplete: bool = False) -> None:
     """Register a random suite's row; ``per_pair(a, b)`` gives (measured, formula, bad)."""
-    _claim(bound_id, *_SUITE_PARAMS)(
-        lambda **p: _random_suite(**p, per_pair=per_pair, require_incomplete=require_incomplete)
-    )
+    _claim(bound_id)(functools.partial(_random_suite, per_pair, require_incomplete))
 
 
 def _language(dfa: PartialDfa) -> tuple[int, tuple[int, ...]]:
@@ -550,12 +519,12 @@ def _language(dfa: PartialDfa) -> tuple[int, tuple[int, ...]]:
 
 
 def _operand(dfa: PartialDfa) -> tuple[int, tuple[int, ...]]:
-    """``_language`` of a sampled operand, computed once per run."""
+    """``_language`` of a sampled operand, computed once per group."""
     return _kept(dfa, lambda: _language(dfa))
 
 
 def _union(a: PartialDfa, b: PartialDfa) -> tuple[int, ...]:
-    """Per-symbol tc of the union of a sampled pair, computed once per run."""
+    """Per-symbol tc of the union of a sampled pair, computed once per group."""
     return _kept((a, b), lambda: _language(union_product(a, b))[1])
 
 
@@ -614,7 +583,7 @@ _suite(BoundId.COMPLEMENT_UPPER, _complement_upper_pair)
 
 
 # every parameter some check takes, in first-use order (the CLI's flags)
-CHECK_PARAMS = tuple(dict.fromkeys(name for claim in _CLAIMS.values() for name, _ in claim.params))
+CHECK_PARAMS = tuple(dict.fromkeys(name for _body, params, _coprime in _CLAIMS.values() for name in params))
 
 
 def check_bound(bound_id: BoundId | str, params: Mapping[str, int] | None = None) -> BoundCheckReport:
@@ -630,28 +599,27 @@ def check_bound(bound_id: BoundId | str, params: Mapping[str, int] | None = None
         except ValueError:
             known = ", ".join(b.value for b in BoundId)
             raise ValueError(f"unknown bound {bound_id!r}; known bounds: {known}") from None
-    claim = _CLAIMS[bound_id]
+    body, signature, coprime = _CLAIMS[bound_id]
     given = dict(params or {})
-    names = [name for name, _default in claim.params]
-    unknown = [name for name in given if name not in names]
+    unknown = [name for name in given if name not in signature]
     if unknown:
         raise ValueError(
-            f"{bound_id.value} does not take {', '.join(unknown)}; it takes {', '.join(names)}"
+            f"{bound_id.value} does not take {', '.join(unknown)}; it takes {', '.join(signature)}"
         )
     p: dict[str, int] = {}
-    for name, default in claim.params:
+    for name, param in signature.items():
         if name in given:
             p[name] = int(given[name])
-        elif default is None:
+        elif param.default is param.empty:
             raise ValueError(f"missing required parameter {name!r}")
         else:
-            p[name] = default(p) if callable(default) else default
-    g = math.gcd(p["n1"], p["n2"]) if claim.coprime else 1
+            p[name] = param.default(p) if callable(param.default) else param.default
+    g = math.gcd(p["n1"], p["n2"]) if coprime else 1
     if g != 1:
         raise ValueError(
             f"this tightness claim requires relatively prime cycle lengths; gcd({p['n1']}, {p['n2']}) = {g}"
         )
-    formula, measured, relation, note, machines = claim.body(**p)
+    formula, measured, relation, note, machines = body(**p)
     flagged = relation is not Relation.EQUAL or note  # no one reads a clean check's machines
     details = note + "\n" + "".join(render_dfa(m) for m in machines) if flagged else ""
     return BoundCheckReport(bound_id, p, formula, measured, relation, details=details)
@@ -660,45 +628,52 @@ def check_bound(bound_id: BoundId | str, params: Mapping[str, int] | None = None
 def run_suite(
     max_n: int = 5, seed: int = DEFAULT_SEED, pairs: int = DEFAULT_PAIRS
 ) -> list[BoundCheckReport]:
-    """The whole tightness + soundness suite, in deterministic order."""
+    """The whole tightness + soundness suite, in deterministic order.
+
+    The plan is a sequence of groups, each the rows that measure one
+    witness product or one seeded sample; a group's rows share one store
+    (``_kept``), dropped when the group ends.
+    """
     if max_n < 3:
         raise ValueError(f"need max_n >= 3 to instantiate the tight families, got {max_n}")
     B = BoundId
     sizes = range(2, max_n + 1)
     grid = [(n1, n2) for n1 in sizes for n2 in sizes if n1 < n2 and math.gcd(n1, n2) == 1]
 
-    def witness_rows(n1: int, n2: int):
-        # a product's rows run in a row, so the store measures it once:
-        # union-sc-tight takes union-symbol-tight's first product,
-        # union-symbol-max its last, union-cycle-upper union-total-tight's
+    def witness_groups(n1: int, n2: int):
+        pair = {"n1": n1, "n2": n2}
         for k1 in range(1, n1):
             for k2 in range(1, n2):
-                yield B.UNION_SYMBOL_TIGHT, {"n1": n1, "n2": n2, "k1": k1, "k2": k2}
+                group = [(B.UNION_SYMBOL_TIGHT, {**pair, "k1": k1, "k2": k2})]
                 if k1 == k2 == 1:
-                    yield B.UNION_SC_TIGHT, {"n1": n1, "n2": n2}
-        for bound_id in (B.UNION_SYMBOL_MAX, B.UNION_MULTI_TIGHT, B.UNION_TOTAL_TIGHT,
-                         B.UNION_CYCLE_UPPER, B.INTERSECTION_TIGHT):
-            yield bound_id, {"n1": n1, "n2": n2}
+                    group.append((B.UNION_SC_TIGHT, pair))
+                if (k1, k2) == (n1 - 1, n2 - 1):
+                    group.append((B.UNION_SYMBOL_MAX, pair))
+                yield group
+        yield [(B.UNION_MULTI_TIGHT, pair)]
+        yield [(B.UNION_TOTAL_TIGHT, pair), (B.UNION_CYCLE_UPPER, pair)]
+        yield [(B.INTERSECTION_TIGHT, pair)]
 
-    # generated lazily: each report keeps its own copy of the parameters
+    sample = {"pairs": pairs, "seed": seed}
     plan = itertools.chain(
-        (row for n1, n2 in grid for row in witness_rows(n1, n2)),
-        ((B.UNION_CYCLE_UPPER, {"n1": n1, "n2": n2})
+        (group for n1, n2 in grid for group in witness_groups(n1, n2)),
+        ([(B.UNION_CYCLE_UPPER, {"n1": n1, "n2": n2})]
          for n1 in sizes for n2 in sizes if n1 <= n2 and (n1, n2) not in grid),
-        ((B.UNARY_TIGHT, {"n1": n1, "n2": n2})
+        ([(B.UNARY_TIGHT, {"n1": n1, "n2": n2})]
          for n1 in sizes for n2 in sizes if n1 >= 3 and n2 != n1 and math.gcd(n1, n2) == 1),
-        ((B.UNARY_EXCEPTION, {"n": n}) for n in (2, 3)),
-        ((B.COMPLEMENT_TIGHT, {"n": n}) for n in range(1, max_n + 1)),
-        ((B.CONJECTURE_SMALL, {"m": m}) for m in (1, 2, 3)),
-        # rows that take the same sample run in a row, so it is drawn and measured once
-        ((bound_id, {"pairs": pairs, "seed": seed}) for bound_id in (
-            B.UNION_TOTAL_UPPER, B.UNION_SYMBOL_SOUND, B.INTERSECTION_UPPER,
-            B.INTERSECTION_CONSTRUCTION_EXACT, B.COMPLEMENT_UPPER, B.UNION_CONSTRUCTION_EXACT)),
+        ([(B.UNARY_EXCEPTION, {"n": n})] for n in (2, 3)),
+        ([(B.COMPLEMENT_TIGHT, {"n": n})] for n in range(1, max_n + 1)),
+        ([(B.CONJECTURE_SMALL, {"m": m})] for m in (1, 2, 3)),
+        [[(bound_id, sample) for bound_id in (B.UNION_TOTAL_UPPER, B.UNION_SYMBOL_SOUND,
+          B.INTERSECTION_UPPER, B.INTERSECTION_CONSTRUCTION_EXACT, B.COMPLEMENT_UPPER)],
+         [(B.UNION_CONSTRUCTION_EXACT, sample)]],  # its sample keeps only incomplete draws
     )
-    token = _shared.set([None, {}])
-    try:
-        reports = [check_bound(bound_id, params) for bound_id, params in plan]
-    finally:
-        _shared.reset(token)
+    reports = []
+    for group in plan:
+        token = _shared.set({})
+        try:
+            reports += [check_bound(bound_id, params) for bound_id, params in group]
+        finally:
+            _shared.reset(token)
     reports.sort(key=lambda r: (r.bound_id.value, tuple(sorted(r.params.items()))))
     return reports

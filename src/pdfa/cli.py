@@ -9,6 +9,7 @@ reported a VIOLATION.  All output is deterministic for identical invocations.
 from __future__ import annotations
 
 import argparse
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from .bounds import (
 from .core import Alphabet, PartialDfa, parse_dfa, render_dfa, render_dot, transition_counts
 from .minimize import complexity, equivalent, minimize
 from .oracle import brute_min_transitions, verify_lemma1
-from .witnesses import WitnessFamily, build_witness
+from .witnesses import _BUILDERS, WitnessFamily, build_witness
 
 
 def _load(path: str) -> PartialDfa:
@@ -37,10 +38,10 @@ def _load(path: str) -> PartialDfa:
     return parse_dfa(text)
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, render, dfa: PartialDfa) -> None:
     if path:
         try:
-            Path(path).write_text(text, encoding="utf-8")
+            Path(path).write_text(render(dfa), encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write {path}: {exc}") from None
 
@@ -63,7 +64,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for sym in dfa.alphabet:
         print(f"tc[{sym}]={report.tc_per_symbol[sym]}")
     print(f"classes={report.nerode_classes}")
-    _write(args.dot, render_dot(minimize(dfa)))
+    if args.dot:
+        _write(args.dot, render_dot, minimize(dfa))
     return 0
 
 
@@ -78,45 +80,36 @@ def cmd_op(args: argparse.Namespace) -> int:
     minimized = minimize(result)
     print(_counts_line("constructed", result))
     print(_counts_line("minimized", minimized))
-    _write(args.out, render_dfa(result))
-    _write(args.min_out, render_dfa(minimized))
-    _write(args.dot, render_dot(result))
+    _write(args.out, render_dfa, result)
+    _write(args.min_out, render_dfa, minimized)
+    _write(args.dot, render_dot, result)
     return 0
 
 
-# flags each witness family takes: (required, optional); the rest are rejected
-_WITNESS_FLAGS = {
-    WitnessFamily.UNION_SYMBOL: (("n", "k"), ("b", "c", "alphabet")),
-    WitnessFamily.UNION_MULTI: (("n",), ("loop", "c", "alphabet")),
-    WitnessFamily.UNION_TOTAL: (("n",), ("loop_sym", "cycle_sym", "alphabet")),
-    WitnessFamily.UNARY_CYCLE: (("n",), ()),  # fixed unary alphabet
-    WitnessFamily.UNARY_SINGLETON: (("n",), ("alphabet",)),
-    WitnessFamily.CHAIN_STAR: (("m",), ("alphabet",)),
-    WitnessFamily.EPSILON: ((), ("alphabet",)),
-}
-_WITNESS_PARAMS = tuple(
-    dict.fromkeys(name for flags in _WITNESS_FLAGS.values() for group in flags for name in group)
-)
+def _witness_flags(family: WitnessFamily) -> dict[str, bool]:
+    """Each flag ``family`` takes, and whether it is required: its constructor's
+    parameters, ``k_map`` given as --loop."""
+    parameters = inspect.signature(_BUILDERS[family]).parameters.values()
+    return {"loop" if q.name == "k_map" else q.name: q.default is q.empty for q in parameters}
 
 
 def _witness(args: argparse.Namespace) -> PartialDfa:
     """The family's witness from the flags given; defaults are the constructors'."""
     family = WitnessFamily(args.family)
-    required, optional = _WITNESS_FLAGS[family]
-    params = {
-        name: getattr(args, name) for name in _WITNESS_PARAMS if getattr(args, name) is not None
-    }
-    stray = [name for name in params if name not in required + optional]
+    takes = _witness_flags(family)
+    every = dict.fromkeys(name for other in WitnessFamily for name in _witness_flags(other))
+    params = {name: getattr(args, name) for name in every if getattr(args, name) is not None}
+    stray = [name for name in params if name not in takes]
     if stray:
         raise ValueError(f"witness family {family.value!r} does not take {_flags(stray)}")
-    for name in required:
-        if name not in params:
+    for name, required in takes.items():
+        if required and name not in params:
             raise ValueError(f"witness family {family.value!r} requires --{name}")
     if "alphabet" in params:
         params["alphabet"] = Alphabet(params["alphabet"])
-    if family is WitnessFamily.UNION_MULTI:
-        k_map = {}
-        for item in params.pop("loop", []):
+    if "loop" in params:
+        k_map = params["k_map"] = {}
+        for item in params.pop("loop"):
             match = re.fullmatch(r"(\S)=(-?[0-9]+)", item)
             if match is None:
                 raise ValueError(f"--loop expects SYMBOL=COUNT, got {item!r}")
@@ -124,18 +117,16 @@ def _witness(args: argparse.Namespace) -> PartialDfa:
             if sym in k_map:
                 raise ValueError(f"--loop gives symbol {sym!r} more than once")
             k_map[sym] = int(match[2])
-        params["k_map"] = k_map
     return build_witness(family, params)
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
     dfa = _witness(args)
-    text = render_dfa(dfa)
     if args.out:
-        _write(args.out, text)
+        _write(args.out, render_dfa, dfa)
     else:
-        print(text, end="")
-    _write(args.dot, render_dot(dfa))
+        print(render_dfa(dfa), end="")
+    _write(args.dot, render_dot, dfa)
     return 0
 
 
@@ -152,6 +143,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise ValueError(f"--all takes only --max-n, --seed and --pairs, not {_flags(stray)}")
         reports = run_suite(**given)
     else:
+        if "max_n" in given:
+            raise ValueError("--max-n is taken only with --all")
         if not args.bound:
             raise ValueError("pass a bound id or --all")
         reports = [check_bound(args.bound, given)]
@@ -170,7 +163,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"min_total={result.min_total}")
         for sym in dfa.alphabet:
             print(f"min[{sym}]={result.min_per_symbol[sym]}")
-        _write(args.out, render_dfa(result.witness_dfa))
+        _write(args.out, render_dfa, result.witness_dfa)
         return 0
     if args.oracle_cmd == "verify-lemma1":
         report = verify_lemma1(args.max_states, Alphabet(args.alphabet))

@@ -11,7 +11,7 @@ transitions.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import Alphabet, PartialDfa
 
@@ -39,7 +39,7 @@ def union_symbol_witness(
 
 
 def union_multi_witness(
-    n: int, k_map: Mapping[str, int], c: str = "c", alphabet: Alphabet | None = None
+    n: int, k_map: Mapping[str, int] = {}, c: str = "c", alphabet: Alphabet | None = None
 ) -> PartialDfa:
     """One c-cycle with self-loop prefixes per symbol: the construction
     behind ``union_symbol_witness``, ``union_total_witness`` and
@@ -121,20 +121,23 @@ def epsilon_lang(alphabet: Alphabet | None = None) -> PartialDfa:
     return PartialDfa(alphabet, 1, 0, frozenset({0}), {})
 
 
+# each family's constructor; its signature is the family's parameters
+_BUILDERS: dict[WitnessFamily, Callable[..., PartialDfa]] = {
+    WitnessFamily.UNION_SYMBOL: union_symbol_witness,
+    WitnessFamily.UNION_MULTI: union_multi_witness,
+    WitnessFamily.UNION_TOTAL: union_total_witness,
+    WitnessFamily.UNARY_CYCLE: unary_cycle,
+    WitnessFamily.UNARY_SINGLETON: unary_singleton,
+    WitnessFamily.CHAIN_STAR: chain_star_witness,
+    WitnessFamily.EPSILON: epsilon_lang,
+}
+
+
 def build_witness(family: WitnessFamily, params: Mapping[str, object] = {}) -> PartialDfa:
     """Build the ``family`` witness from its constructor's keyword ``params``.
 
     An unknown or missing parameter raises TypeError and a bad value
-    ValueError.  The CLI checks its flags against each family's first,
-    so only the ValueErrors reach it, as input errors (exit 2).
+    ValueError.  The CLI checks its flags against each constructor's
+    signature first, so only the ValueErrors reach it, as input errors.
     """
-    builders = {
-        WitnessFamily.UNION_SYMBOL: union_symbol_witness,
-        WitnessFamily.UNION_MULTI: union_multi_witness,
-        WitnessFamily.UNION_TOTAL: union_total_witness,
-        WitnessFamily.UNARY_CYCLE: unary_cycle,
-        WitnessFamily.UNARY_SINGLETON: unary_singleton,
-        WitnessFamily.CHAIN_STAR: chain_star_witness,
-        WitnessFamily.EPSILON: epsilon_lang,
-    }
-    return builders[family](**params)
+    return _BUILDERS[family](**params)

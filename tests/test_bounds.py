@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 from collections import Counter
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import pdfa.bounds
-from pdfa import parse_dfa, render_dfa
+from pdfa import Alphabet, PartialDfa, parse_dfa, render_dfa
 from pdfa.bounds import (
+    CHECK_PARAMS,
     DEFAULT_SEED,
     BoundCheckReport,
     BoundId,
@@ -20,6 +22,7 @@ from pdfa.bounds import (
     render_report_line,
     render_report_table,
     run_suite,
+    sample_connected_dfa,
     sample_pairs,
     unary_union_upper,
     union_state_upper,
@@ -119,6 +122,10 @@ def test_check_fills_defaults_from_the_claim_table():
     rep = check_bound(BoundId.UNION_MULTI_TIGHT, {"n1": 3, "n2": 4})
     assert rep.params == {"n1": 3, "n2": 4, "ka1": 1, "kb1": 2, "ka2": 1, "kb2": 3}
     assert rep.relation is Relation.EQUAL
+
+
+def test_check_params_are_every_rows_signature_in_first_use_order():
+    assert " ".join(CHECK_PARAMS) == "n1 n2 k1 k2 ka1 kb1 ka2 kb2 n sigma m pairs seed max_states"
 
 
 def test_tight_checks_reject_non_coprime_sizes():
@@ -233,6 +240,14 @@ def test_sample_pairs_draws_are_pinned(args, kwargs, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("state_count", [0, -1])
+def test_sample_connected_dfa_rejects_fewer_than_one_state(state_count):
+    rng = random.Random(1)
+    with pytest.raises(ValueError, match=rf"^a connected DFA needs at least one state, got {state_count}$"):
+        sample_connected_dfa(rng, state_count, Alphabet("ab"))
+    assert rng.getstate() == random.Random(1).getstate()  # rejected before drawing
+
+
 @pytest.mark.parametrize("max_states", [0, -1, 11, 40])
 def test_sample_pairs_rejects_max_states_out_of_range(max_states):
     with pytest.raises(ValueError, match=rf"^random pairs take max_states in 1\.\.10, got {max_states}$"):
@@ -308,6 +323,28 @@ def test_run_suite_reports_equal_their_rows_run_alone(seed):
     assert len(reports) == 91
     for report in reports:
         assert check_bound(report.bound_id, report.params) == report
+
+
+def test_run_suite_store_never_holds_two_products_or_two_samples(monkeypatch):
+    kept = pdfa.bounds._kept
+    stores = []  # the store's keys after each row's request
+
+    def watched(key, compute):
+        value = kept(key, compute)
+        stores.append(set(pdfa.bounds._shared.get()))
+        return value
+
+    monkeypatch.setattr(pdfa.bounds, "_kept", watched)
+    run_suite(max_n=5, pairs=5)
+    # a product's key is ("symbol", ...) or ("total", ...), a sample's its draw's
+    # arguments; a sample's operands are keyed by machine and their unions by pairs
+    drawn = [{key for key in keys if isinstance(key, tuple) and not isinstance(key[0], PartialDfa)}
+             for keys in stores]
+    assert all(len(roots) == 1 for roots in drawn)
+    products = [keys for keys, roots in zip(stores, drawn) if isinstance(next(iter(roots))[0], str)]
+    assert all(len(keys) == 1 for keys in products)  # no operand outlives its sample
+    kinds = Counter(key[0] if isinstance(key[0], str) else "sample" for key in set().union(*drawn))
+    assert kinds["symbol"] > 1 and kinds["total"] > 1 and kinds["sample"] == 2
 
 
 def test_run_suite_drops_its_store_when_it_returns_or_raises(monkeypatch):

@@ -1,13 +1,15 @@
 import hashlib
+import itertools
 import subprocess
 import sys
 
 import pytest
 
+import pdfa.cli
 from pdfa import parse_dfa, render_dfa, transition_counts
 from pdfa.bounds import BoundCheckReport, BoundId, Relation
 from pdfa.cli import main
-from pdfa.witnesses import unary_cycle, union_symbol_witness
+from pdfa.witnesses import WitnessFamily, unary_cycle, union_symbol_witness
 
 
 @pytest.fixture
@@ -55,6 +57,41 @@ def test_analyze_writes_dot(witness_file, tmp_path, capsys):
     assert main(["analyze", path, "--dot", str(dot)]) == 0
     capsys.readouterr()
     assert "doublecircle" in dot.read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def cli_calls(monkeypatch):
+    """Count the calls the CLI makes to minimize, render_dfa and render_dot."""
+    calls = dict.fromkeys(("minimize", "render_dfa", "render_dot"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(pdfa.cli, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(pdfa.cli, name, counted)
+    return calls
+
+
+# calls of (minimize, render_dfa, render_dot) without and with the output flags
+@pytest.mark.parametrize("argv, flags, without, with_flags", [
+    (["analyze", "IN"], ["--dot"], (0, 0, 0), (1, 0, 1)),
+    (["union", "IN", "IN"], ["--out", "--min-out", "--dot"], (1, 0, 0), (1, 2, 1)),
+    (["witness", "epsilon"], ["--dot"], (0, 1, 0), (0, 1, 1)),
+])
+def test_cli_builds_only_the_outputs_its_flags_ask_for(
+    argv, flags, without, with_flags, cli_calls, witness_file, tmp_path, capsys
+):
+    path = witness_file(union_symbol_witness(3, 2))
+    argv = [path if arg == "IN" else arg for arg in argv]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert tuple(cli_calls.values()) == without
+    cli_calls.update(dict.fromkeys(cli_calls, 0))
+    outputs = {flag: tmp_path / flag.strip("-") for flag in flags}
+    assert main([*argv, *(arg for flag, out in outputs.items() for arg in (flag, str(out)))]) == 0
+    assert capsys.readouterr().out == printed  # the flags change what is written, not what is printed
+    assert tuple(cli_calls.values()) == with_flags
+    assert all(out.exists() for out in outputs.values())
 
 
 def test_union_command_reports_both_layers(witness_file, tmp_path, capsys):
@@ -129,19 +166,54 @@ def test_witness_requires_its_parameters(capsys):
     assert "--n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["epsilon", "--n", "3"], "--n"),
-        (["unary-cycle", "--n", "2", "--alphabet", "ab"], "--alphabet"),
-        (["union-symbol", "--n", "3", "--k", "1", "--m", "7"], "--m"),
-        (["union-total", "--n", "3", "--b", "x"], "--b"),
-    ],
-)
-def test_witness_rejects_flags_its_family_ignores(argv, flag, capsys):
-    assert main(["witness", *argv]) == 2
-    err = capsys.readouterr().err
-    assert "does not take" in err and flag in err
+# The flags each witness family takes, (required, optional), as its
+# constructor's signature declares them (--loop is union_multi_witness's k_map).
+WITNESS_FLAGS = {
+    "union-symbol": (("n", "k"), ("b", "c", "alphabet")),
+    "union-multi": (("n",), ("loop", "c", "alphabet")),
+    "union-total": (("n",), ("loop_sym", "cycle_sym", "alphabet")),
+    "unary-cycle": (("n",), ()),  # fixed unary alphabet
+    "unary-singleton": (("n",), ("alphabet",)),
+    "chain-star": (("m",), ("alphabet",)),
+    "epsilon": ((), ("alphabet",)),
+}
+# a value for each flag that every family taking it accepts
+FLAG_VALUES = {"n": "3", "k": "1", "m": "7", "b": "x", "c": "x", "loop": "a=1",
+               "loop_sym": "x", "cycle_sym": "x", "alphabet": "abc"}
+
+
+def _witness_argv(family, *names):
+    argv = ["witness", family]
+    for name in dict.fromkeys(names):
+        argv += ["--" + name.replace("_", "-"), FLAG_VALUES[name]]
+    return argv
+
+
+def test_witness_flag_reference_covers_every_family():
+    assert sorted(WITNESS_FLAGS) == sorted(f.value for f in WitnessFamily)
+    assert sorted(FLAG_VALUES) == sorted({name for flags in WITNESS_FLAGS.values() for group in flags for name in group})
+
+
+# every family with every witness flag; among them epsilon --n, unary-cycle
+# --alphabet, union-symbol --m and union-total --b, which are rejected
+@pytest.mark.parametrize("family, flag", list(itertools.product(WITNESS_FLAGS, FLAG_VALUES)))
+def test_witness_takes_exactly_its_familys_flags(family, flag, capsys):
+    required, optional = WITNESS_FLAGS[family]
+    rc = main(_witness_argv(family, *required, flag))
+    captured = capsys.readouterr()
+    if flag in required + optional:
+        assert (rc, captured.err) == (0, "")
+        parse_dfa(captured.out)
+    else:
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == f"error: witness family {family!r} does not take --{flag.replace('_', '-')}\n"
+
+
+@pytest.mark.parametrize("family, flag", [(f, name) for f, (req, _opt) in WITNESS_FLAGS.items() for name in req])
+def test_witness_names_each_missing_required_flag(family, flag, capsys):
+    required, _optional = WITNESS_FLAGS[family]
+    assert main(_witness_argv(family, *(name for name in required if name != flag))) == 2
+    assert capsys.readouterr().err == f"error: witness family {family!r} requires --{flag}\n"
 
 
 def test_witness_defaults_come_from_the_family(capsys):
@@ -241,6 +313,14 @@ def test_check_random_row_rejects_max_states_out_of_range(max_states, capsys):
 def test_check_all_rejects_per_check_flags(capsys):
     assert main(["check", "--all", "--n1", "99"]) == 2
     assert "--n1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", [["union-total-upper"], ["intersection-tight", "--n1", "2", "--n2", "3"], []])
+def test_check_takes_max_n_only_with_all(bound, capsys):
+    assert main(["check", *bound, "--max-n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-n is taken only with --all\n"
 
 
 def test_check_requires_bound_or_all(capsys):
