@@ -369,8 +369,10 @@ def _union_total_pair(n1: int, n2: int) -> tuple[int, int, PartialDfa, int]:
     def measure():
         w1 = union_total_witness(n1, "a", "c", alphabet=_ABC)
         w2 = union_total_witness(n2, "b", "c", alphabet=_ABC)
+        t1 = complexity(w1).tc
+        t2 = complexity(w2).tc
         m, measured, _per = _measured(union_product(w1, w2))
-        return complexity(w1).tc, complexity(w2).tc, m, measured
+        return t1, t2, m, measured
 
     return _kept(("total", n1, n2), measure)
 

@@ -191,7 +191,8 @@ def _witness_argv(family, *names):
 
 def test_witness_flag_reference_covers_every_family():
     assert sorted(WITNESS_FLAGS) == sorted(f.value for f in WitnessFamily)
-    assert sorted(FLAG_VALUES) == sorted({name for flags in WITNESS_FLAGS.values() for group in flags for name in group})
+    taken = {name for required, optional in WITNESS_FLAGS.values() for name in required + optional}
+    assert sorted(FLAG_VALUES) == sorted(taken)
 
 
 # every family with every witness flag; among them epsilon --n, unary-cycle
@@ -206,10 +207,13 @@ def test_witness_takes_exactly_its_familys_flags(family, flag, capsys):
         parse_dfa(captured.out)
     else:
         assert (rc, captured.out) == (2, "")
-        assert captured.err == f"error: witness family {family!r} does not take --{flag.replace('_', '-')}\n"
+        want = f"error: witness family {family!r} does not take --{flag.replace('_', '-')}\n"
+        assert captured.err == want
 
 
-@pytest.mark.parametrize("family, flag", [(f, name) for f, (req, _opt) in WITNESS_FLAGS.items() for name in req])
+@pytest.mark.parametrize(
+    "family, flag", [(family, name) for family, (required, _) in WITNESS_FLAGS.items() for name in required]
+)
 def test_witness_names_each_missing_required_flag(family, flag, capsys):
     required, _optional = WITNESS_FLAGS[family]
     assert main(_witness_argv(family, *(name for name in required if name != flag))) == 2
@@ -315,7 +319,9 @@ def test_check_all_rejects_per_check_flags(capsys):
     assert "--n1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bound", [["union-total-upper"], ["intersection-tight", "--n1", "2", "--n2", "3"], []])
+@pytest.mark.parametrize(
+    "bound", [["union-total-upper"], ["intersection-tight", "--n1", "2", "--n2", "3"], []]
+)
 def test_check_takes_max_n_only_with_all(bound, capsys):
     assert main(["check", *bound, "--max-n", "5"]) == 2
     captured = capsys.readouterr()
