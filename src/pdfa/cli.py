@@ -27,7 +27,7 @@ from .bounds import (
 from .core import Alphabet, PartialDfa, parse_dfa, render_dfa, render_dot, transition_counts
 from .minimize import complexity, equivalent, minimize
 from .oracle import brute_min_transitions, verify_lemma1
-from .witnesses import _BUILDERS, WitnessFamily, build_witness
+from .witnesses import _CONSTRUCTORS, WitnessFamily, build_witness
 
 
 def _load(path: str) -> PartialDfa:
@@ -89,7 +89,7 @@ def cmd_op(args: argparse.Namespace) -> int:
 def _witness_flags(family: WitnessFamily) -> dict[str, bool]:
     """Each flag ``family`` takes, and whether it is required: its constructor's
     parameters, ``k_map`` given as --loop."""
-    parameters = inspect.signature(_BUILDERS[family]).parameters.values()
+    parameters = inspect.signature(_CONSTRUCTORS[family]).parameters.values()
     return {"loop" if q.name == "k_map" else q.name: q.default is q.empty for q in parameters}
 
 

@@ -122,7 +122,7 @@ def epsilon_lang(alphabet: Alphabet | None = None) -> PartialDfa:
 
 
 # each family's constructor; its signature is the family's parameters
-_BUILDERS: dict[WitnessFamily, Callable[..., PartialDfa]] = {
+_CONSTRUCTORS: dict[WitnessFamily, Callable[..., PartialDfa]] = {
     WitnessFamily.UNION_SYMBOL: union_symbol_witness,
     WitnessFamily.UNION_MULTI: union_multi_witness,
     WitnessFamily.UNION_TOTAL: union_total_witness,
@@ -140,4 +140,4 @@ def build_witness(family: WitnessFamily, params: Mapping[str, object] = {}) -> P
     ValueError.  The CLI checks its flags against each constructor's
     signature first, so only the ValueErrors reach it, as input errors.
     """
-    return _BUILDERS[family](**params)
+    return _CONSTRUCTORS[family](**params)
