@@ -171,16 +171,17 @@ class BoundCheckReport:
         return self.details.splitlines()[0] if self.details else ""
 
 
+def _label(report: BoundCheckReport) -> str:
+    """``bound p=v ...``: the check's name in a report line and a table note."""
+    return " ".join([report.bound_id.value, *(f"{k}={v}" for k, v in report.params.items())])
+
+
 def render_report_line(report: BoundCheckReport) -> str:
     """Machine-readable one-liner: ``bound p=v ... formula=F measured=M verdict=V``."""
-    parts = [report.bound_id.value]
-    parts += [f"{k}={v}" for k, v in report.params.items()]
-    parts += [
-        f"formula={report.formula_value}",
-        f"measured={report.measured_value}",
-        f"verdict={report.relation.value}",
-    ]
-    return " ".join(parts)
+    return (
+        f"{_label(report)} formula={report.formula_value} "
+        f"measured={report.measured_value} verdict={report.relation.value}"
+    )
 
 
 def render_report_table(reports: Sequence[BoundCheckReport]) -> str:
@@ -188,8 +189,7 @@ def render_report_table(reports: Sequence[BoundCheckReport]) -> str:
     rows = [("BOUND", "PARAMS", "FORMULA", "MEASURED", "VERDICT")]
     rows += [
         (
-            r.bound_id.value,
-            " ".join(f"{k}={v}" for k, v in r.params.items()),
+            *_label(r).partition(" ")[::2],  # the bound, then its parameters
             str(r.formula_value),
             str(r.measured_value),
             r.relation.value,
@@ -205,7 +205,7 @@ def render_report_table(reports: Sequence[BoundCheckReport]) -> str:
     )
     for r in reports:
         if r.note:
-            lines.append(f"note [{render_report_line(r).split(' formula=')[0]}]: {r.note}")
+            lines.append(f"note [{_label(r)}]: {r.note}")
     return "\n".join(lines) + "\n"
 
 
@@ -611,7 +611,10 @@ def check_bound(bound_id: BoundId | str, params: Mapping[str, int] | None = None
     p: dict[str, int] = {}
     for name, param in signature.items():
         if name in given:
-            p[name] = int(given[name])
+            value = given[name]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"parameter {name!r} must be an int, got {value!r}")
+            p[name] = value
         elif param.default is param.empty:
             raise ValueError(f"missing required parameter {name!r}")
         else:

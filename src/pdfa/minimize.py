@@ -11,7 +11,6 @@ equality a dataclass comparison -- one of the two equivalence routes below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 from .core import PartialDfa, _bfs_order, empty_language_dfa, transition_counts
@@ -54,9 +53,6 @@ def canonicalize(dfa: PartialDfa) -> PartialDfa:
     return PartialDfa.from_table(dfa.alphabet, n, 0, accepting, out)
 
 
-# One entry suffices for the exhaustive sweep, whose enumerator hands one
-# table to 2^n machines in a row.  The key is the table's content.
-@lru_cache(maxsize=1)
 def _search(table: tuple[int, ...], start: int, k: int) -> tuple[list[int], list[list[list[int]]], bool]:
     """The part of minimization that reads only the table.
 
@@ -78,7 +74,7 @@ def _search(table: tuple[int, ...], start: int, k: int) -> tuple[list[int], list
     return order, pre, order == list(range(len(order)))
 
 
-def minimize(dfa: PartialDfa) -> PartialDfa:
+def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
     """The unique minimal partial DFA for the language, canonically numbered.
 
     Refines the live (reachable, co-accessible) states by Hopcroft's
@@ -86,15 +82,15 @@ def minimize(dfa: PartialDfa) -> PartialDfa:
     initial block is queued (Valmari and Lehtinen's rule, which stands in
     for the dead state).  Later splits queue only their smaller half:
     O(m log n) work for m defined moves.  Refinement stops early once
-    every block is a single state.  The table-only search is cached for
-    the last table content, start and symbol count, so consecutive calls
-    on one table share it.  The result has the fewest states and, per
-    symbol, the fewest moves.
+    every block is a single state.  ``search``, when given, is what
+    ``_search`` returns for ``dfa``'s table, start and symbol count, so
+    machines on one table can share it.  The result has the fewest states
+    and, per symbol, the fewest moves.
     When ``dfa`` is already that machine (start 0, no state merged or
     dropped, numbering canonical) it is returned itself, not a copy.
     """
     k, delta, start = len(dfa.alphabet), dfa.table, dfa.start
-    order, pre, canonical = _search(delta, start, k)  # cached for the next call: read only
+    order, pre, canonical = search or _search(delta, start, k)  # read only: callers share it
     # -1 dead or unreached (only reachable states are ever looked up), else the block
     block = [-1] * dfa.state_count
     live = [q for q in order if q in dfa.accepting]  # block 0, then block 1
@@ -160,7 +156,11 @@ def minimize(dfa: PartialDfa) -> PartialDfa:
 
 def complexity(dfa: PartialDfa) -> ComplexityReport:
     """State/transition complexity of the language ``dfa`` recognizes."""
-    m = minimize(dfa)
+    return _measures(minimize(dfa))
+
+
+def _measures(m: PartialDfa) -> ComplexityReport:
+    """The complexity report read off ``m``, a minimal partial DFA."""
     counts = transition_counts(m)
     # One extra class -- the dead class -- exists whenever the minimal
     # partial DFA leaves some move undefined.

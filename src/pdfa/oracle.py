@@ -21,8 +21,8 @@ post-hoc dedup -- in a total, size-ordered order.
 Each table carries 2^n machines, one per accepting set, yielded in a
 row.  The table is checked once, by building its machine with every
 state accepting, and its machines then share that one tuple.
-``minimize`` caches its table-only search for one entry, keyed by the
-table's content, so the machines of one table share one search.
+``verify_lemma1`` also runs the minimizer's table-only search once per
+table and hands it to ``minimize`` for each of the table's machines.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .core import Alphabet, PartialDfa, render_dfa, transition_counts
-from .minimize import canonicalize, minimize, pair_equivalent
+from .minimize import _search, canonicalize, minimize, pair_equivalent
 
 # Desk-scale caps by alphabet size, keeping any single call in the
 # minutes range: unary tables grow like (n+1)*2^n, binary 4-state is
@@ -237,7 +237,6 @@ def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
     size = 0
     for a in _all_dfas(cap, alphabet):
         checked += 1
-        m = canonicalize(minimize(a))
         if a.table is not table:  # the enumerator hands one table to 2^n DFAs in a row
             if a.state_count < size:
                 raise ValueError(
@@ -248,6 +247,8 @@ def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
             counts = transition_counts(a)
             sizes = [counts.total, *(counts.per_symbol[sym] for sym in alphabet)]
             reached = _reached(table, len(alphabet), depth)
+            search = _search(table, 0, len(alphabet))
+        m = canonicalize(minimize(a, search))
         indicator = indicators.get(a.accepting)
         if indicator is None:
             indicator = indicators[a.accepting] = _indicator(a.accepting)

@@ -115,6 +115,17 @@ def test_check_rejects_parameters_the_claim_does_not_take():
     assert "max_n" in str(exc.value)
 
 
+@pytest.mark.parametrize("bound, params, shown", [
+    ("intersection-tight", {"n1": 2.9, "n2": 3}, "'n1' must be an int, got 2.9"),
+    (BoundId.UNION_TOTAL_UPPER, {"pairs": True}, "'pairs' must be an int, got True"),
+    ("intersection-tight", {"n1": "5", "n2": 3}, "'n1' must be an int, got '5'"),
+])
+def test_check_rejects_a_parameter_that_is_not_an_int(bound, params, shown):
+    """A float, a bool or a string is refused, not turned into an int."""
+    with pytest.raises(ValueError, match=f"^parameter {shown}$"):
+        check_bound(bound, params)
+
+
 def test_check_fills_defaults_from_the_claim_table():
     rep = check_bound(BoundId.UNION_TOTAL_UPPER, {"pairs": 3})
     assert rep.params == {"pairs": 3, "seed": 12345, "max_states": 4}

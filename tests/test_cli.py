@@ -61,7 +61,8 @@ def test_analyze_writes_dot(witness_file, tmp_path, capsys):
 
 @pytest.fixture
 def cli_calls(monkeypatch):
-    """Count the calls the CLI makes to minimize, render_dfa and render_dot."""
+    """Count the calls the CLI makes to minimize, render_dfa and render_dot;
+    minimize's also where ``pdfa.minimize.complexity`` makes them."""
     calls = dict.fromkeys(("minimize", "render_dfa", "render_dot"), 0)
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(pdfa.cli, name)):
@@ -69,12 +70,13 @@ def cli_calls(monkeypatch):
             return _inner(*args)
 
         monkeypatch.setattr(pdfa.cli, name, counted)
+    monkeypatch.setattr(sys.modules["pdfa.minimize"], "minimize", pdfa.cli.minimize)
     return calls
 
 
 # calls of (minimize, render_dfa, render_dot) without and with the output flags
 @pytest.mark.parametrize("argv, flags, without, with_flags", [
-    (["analyze", "IN"], ["--dot"], (0, 0, 0), (1, 0, 1)),
+    (["analyze", "IN"], ["--dot"], (1, 0, 0), (1, 0, 1)),
     (["union", "IN", "IN"], ["--out", "--min-out", "--dot"], (1, 0, 0), (1, 2, 1)),
     (["witness", "epsilon"], ["--dot"], (0, 1, 0), (0, 1, 1)),
 ])

@@ -17,6 +17,7 @@ from pdfa import (
     union_product,
 )
 from pdfa.bounds import sample_pairs
+from pdfa.minimize import _search
 from pdfa.oracle import _all_dfas
 from pdfa.witnesses import (
     chain_star_witness,
@@ -253,10 +254,11 @@ def test_minimize_returns_a_minimal_machine_itself():
 
 
 def test_minimize_keeps_machines_on_one_table_apart():
-    """``minimize`` caches its table-only search for the last table content.
-    Machines on one table that differ in start state, read it in another
-    shape, or hold an equal table in a distinct tuple must still minimize
-    as they would on a fresh copy."""
+    """Machines that share one table tuple, or hold equal tables in
+    distinct tuples, and differ in start state or read the table in another
+    shape minimize one after another as each would on a fresh copy, with
+    its own table-only search handed in or not: ``minimize`` keeps nothing
+    between calls."""
     a, ab = Alphabet("a"), Alphabet("ab")
     chain = (1, 2, -1)  # over {a}: 0 -> 1 -> 2, reached differently from each start
     grid = (1, -1, 0, 1)  # 4 states x 1 symbol, or 2 states x 2 symbols
@@ -280,6 +282,7 @@ def test_minimize_keeps_machines_on_one_table_apart():
     expected = [minimize(PartialDfa.from_table(*spec[:4], tuple(list(spec[4])))) for spec in stream]
     assert [moore_minimize(d) for d in machines] == expected
     assert [minimize(d) for d in machines] == expected  # one after another, tables shared
+    assert [minimize(d, _search(d.table, d.start, len(d.alphabet))) for d in machines] == expected
 
 
 @pytest.mark.parametrize(
@@ -310,11 +313,11 @@ def test_minimize_matches_moore_on_large_products():
     assert disagreements(minimize, _large_products()) == []
 
 
-def _never_merges(d: PartialDfa) -> PartialDfa:
+def _never_merges(d: PartialDfa, search=None) -> PartialDfa:
     return canonicalize(trim(d))
 
 
-def _one_wrong_merge(d: PartialDfa) -> PartialDfa:
+def _one_wrong_merge(d: PartialDfa, search=None) -> PartialDfa:
     """Minimize, then fold the last state into the one before it when the
     two agree on acceptance -- a merge only a move's definedness or target
     can refute."""

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -191,7 +192,7 @@ def test_lemma1_binary_single_state():
 def test_lemma1_catches_a_broken_minimizer(monkeypatch):
     import pdfa.oracle as oracle_mod
 
-    def wrong_minimize(d):
+    def wrong_minimize(d, search=None):
         return empty_language_dfa(d.alphabet)
 
     monkeypatch.setattr(oracle_mod, "minimize", wrong_minimize)
@@ -201,7 +202,7 @@ def test_lemma1_catches_a_broken_minimizer(monkeypatch):
     assert any("changed the language" in c for c in report.counterexamples)
 
 
-def _identity(d: PartialDfa) -> PartialDfa:
+def _identity(d: PartialDfa, search=None) -> PartialDfa:
     return d
 
 
@@ -223,6 +224,27 @@ def test_lemma1_catches_a_minimizer_that_misses_the_minimal_dfa(monkeypatch, mut
         assert not report.ok
         assert len(report.counterexamples) == count
         assert all(c.startswith(f"minimize() {message} of:\n") for c in report.counterexamples)
+
+
+def test_lemma1_searches_each_table_once(monkeypatch):
+    """The sweep runs the minimizer's table-only search once per canonical
+    table and hands it to each of the table's machines: 865 tables carry
+    the 6,716 DFAs of {a,b}/<=3."""
+    import pdfa.oracle as oracle_mod
+
+    minimize_mod = sys.modules["pdfa.minimize"]
+    search = minimize_mod._search
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(minimize_mod, "_search", counted)
+    monkeypatch.setattr(oracle_mod, "_search", counted)
+    report = oracle_mod.verify_lemma1(2, Alphabet("ab"))
+    assert report.ok and report.dfas_checked == 6716
+    assert len(calls) == len(set(calls)) == 865
 
 
 def test_lemma1_bookkeeping_does_not_depend_on_table_identity(monkeypatch):
