@@ -11,9 +11,7 @@ from .core import (
     DfaParseError,
     PartialDfa,
     TransitionCounts,
-    accepts,
     empty_language_dfa,
-    is_connected,
     parse_dfa,
     render_dfa,
     render_dot,
@@ -31,7 +29,6 @@ from .oracle import (
     Lemma1Report,
     OracleResult,
     brute_min_transitions,
-    enumerate_dfas,
     verify_lemma1,
 )
 from .witnesses import (
@@ -55,7 +52,6 @@ __all__ = [
     "PartialDfa",
     "TransitionCounts",
     "WitnessFamily",
-    "accepts",
     "brute_min_transitions",
     "build_witness",
     "canonicalize",
@@ -63,11 +59,9 @@ __all__ = [
     "complement",
     "complexity",
     "empty_language_dfa",
-    "enumerate_dfas",
     "epsilon_lang",
     "equivalent",
     "intersection_product",
-    "is_connected",
     "minimize",
     "pair_equivalent",
     "parse_dfa",

@@ -6,8 +6,7 @@ or -1 where the move is undefined and the machine halts and rejects
 (the string representation of Almeida, Moreira and Reis, "Enumeration
 and generation with a string automata representation", TCS 2007).
 There is no explicit dead state; completions and products add one only
-when an operation demands it.  The ``(state, symbol) -> state`` mapping
-is a view derived from the table.
+when an operation demands it.
 
 States are always ``0 .. state_count-1`` and the alphabet ordering is
 significant -- it fixes the table's columns and with them traversal
@@ -135,11 +134,6 @@ class PartialDfa:
             put_table(dfa, table)
             yield dfa
 
-    @property
-    def transitions(self) -> dict[tuple[int, str], int]:
-        """The defined moves as a fresh ``(state, symbol) -> state`` dict."""
-        return {(src, sym): dst for src, sym, dst in _moves(self.alphabet, self.table)}
-
     def is_complete(self) -> bool:
         return -1 not in self.table
 
@@ -180,22 +174,6 @@ class TransitionCounts:
     per_symbol: Mapping[str, int]
 
 
-def accepts(dfa: PartialDfa, word: str) -> bool:
-    """Run ``word`` from the start state; an undefined move rejects.
-
-    Raises ValueError if the word uses a symbol outside the alphabet
-    (checked up front, even past an undefined move).
-    """
-    alphabet = dfa.alphabet
-    columns = [alphabet.index(sym) for sym in word]
-    k, table, state = len(alphabet), dfa.table, dfa.start
-    for j in columns:
-        state = table[state * k + j]
-        if state < 0:
-            return False
-    return state in dfa.accepting
-
-
 def _bfs_order(table: tuple[int, ...], start: int, k: int) -> list[int]:
     """The states reachable from ``start`` in breadth-first discovery
     order, successors in alphabet order: ``order[i]`` is the state that
@@ -209,11 +187,6 @@ def _bfs_order(table: tuple[int, ...], start: int, k: int) -> list[int]:
                 seen[t] = True
                 order.append(t)
     return order
-
-
-def is_connected(dfa: PartialDfa) -> bool:
-    """True when every state is reachable from the start state."""
-    return len(_bfs_order(dfa.table, dfa.start, len(dfa.alphabet))) == dfa.state_count
 
 
 def empty_language_dfa(alphabet: Alphabet) -> PartialDfa:
@@ -346,6 +319,8 @@ def render_dot(dfa: PartialDfa, name: str = "pdfa") -> str:
         shape = "doublecircle" if q in dfa.accepting else "circle"
         out.append(f"  {q} [shape={shape}];")
     out.append(f"  __start -> {dfa.start};")
-    out.extend(f'  {src} -> {dst} [label="{sym}"];' for src, sym, dst in _moves(dfa.alphabet, dfa.table))
+    for src, sym, dst in _moves(dfa.alphabet, dfa.table):
+        label = sym.replace("\\", "\\\\").replace('"', '\\"')  # DOT's quoted-string escapes
+        out.append(f'  {src} -> {dst} [label="{label}"];')
     out.append("}")
     return "\n".join(out) + "\n"

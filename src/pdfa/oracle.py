@@ -46,8 +46,6 @@ def _state_limit(alphabet: Alphabet) -> int:
 
 
 def _check_limits(max_states: int, alphabet: Alphabet) -> None:
-    if max_states < 1:
-        raise ValueError(f"max_states must be at least 1, got {max_states}")
     limit = _state_limit(alphabet)
     if max_states > limit:
         raise ValueError(
@@ -80,6 +78,11 @@ def _canonical_tables(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _all_dfas(max_states: int, alphabet: Alphabet) -> Iterator[PartialDfa]:
+    """Every connected canonical partial DFA with up to max_states states.
+
+    Total, deterministic order: by state count, then transition table
+    (undefined slots sorting first), then accepting bitmask.
+    """
     k = len(alphabet)
     for n in range(1, max_states + 1):
         # accepting sets ordered by their bitmask value
@@ -91,16 +94,6 @@ def _all_dfas(max_states: int, alphabet: Alphabet) -> Iterator[PartialDfa]:
             # one check per table, by the constructor, covers its 2^n machines
             checked = PartialDfa.from_table(alphabet, n, 0, every, table)
             yield from checked._relabelled(accepting_sets)
-
-
-def enumerate_dfas(max_states: int, alphabet: Alphabet) -> Iterator[PartialDfa]:
-    """Every connected canonical partial DFA with up to max_states states.
-
-    Total, deterministic order: by state count, then transition table
-    (undefined slots sorting first), then accepting bitmask.
-    """
-    _check_limits(max_states, alphabet)
-    return _all_dfas(max_states, alphabet)
 
 
 @dataclass(frozen=True)
@@ -125,7 +118,7 @@ def brute_min_transitions(target: PartialDfa, max_states: int = 0) -> OracleResu
     alphabet = target.alphabet
     if max_states < 0:
         raise ValueError(f"max_states must be 0 (search up to sc+1) or at least 1, got {max_states}")
-    _check_limits(max_states or 1, alphabet)
+    _check_limits(max_states, alphabet)
     auto = max_states == 0
     cap = _ENUM_LIMITS[len(alphabet)] if auto else max_states
     min_total: int | None = None

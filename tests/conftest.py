@@ -2,7 +2,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from pdfa import Alphabet, PartialDfa, accepts
+from pdfa import Alphabet, PartialDfa
 
 ALPHA = {1: Alphabet("a"), 2: Alphabet("ab"), 3: Alphabet("abc")}
 
@@ -31,6 +31,22 @@ MALFORMED = {
         "accepting state 5 out of range",
     ),
 }
+
+
+def moves(dfa: PartialDfa) -> dict[tuple[int, str], int]:
+    """The defined moves as a ``(state, symbol) -> state`` dict, read off the table."""
+    k = len(dfa.alphabet)
+    return {(i // k, dfa.alphabet[i % k]): t for i, t in enumerate(dfa.table) if t >= 0}
+
+
+def accepts(dfa: PartialDfa, word: str) -> bool:
+    """Word semantics: follow ``word`` from the start; an undefined move rejects."""
+    step, state = moves(dfa), dfa.start
+    for sym in word:
+        state = step.get((state, sym))
+        if state is None:
+            return False
+    return state in dfa.accepting
 
 
 def words(alphabet: Alphabet, max_len: int):

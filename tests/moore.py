@@ -13,16 +13,18 @@ from __future__ import annotations
 
 from pdfa import PartialDfa
 
+from conftest import moves
+
 
 def reachable(dfa: PartialDfa) -> frozenset[int]:
     """States reachable from the start via defined transitions."""
-    moves = dfa.transitions
+    step = moves(dfa)
     seen = {dfa.start}
     stack = [dfa.start]
     while stack:
         q = stack.pop()
         for sym in dfa.alphabet:
-            t = moves.get((q, sym))
+            t = step.get((q, sym))
             if t is not None and t not in seen:
                 seen.add(t)
                 stack.append(t)
@@ -32,7 +34,7 @@ def reachable(dfa: PartialDfa) -> frozenset[int]:
 def coaccessible(dfa: PartialDfa) -> frozenset[int]:
     """States from which some accepting state is reachable."""
     sources: dict[int, list[int]] = {}
-    for (src, _sym), dst in dfa.transitions.items():
+    for (src, _sym), dst in moves(dfa).items():
         sources.setdefault(dst, []).append(src)
     seen = set(dfa.accepting)
     stack = list(seen)
@@ -48,13 +50,13 @@ def restrict(dfa: PartialDfa, keep: frozenset[int]) -> PartialDfa:
     """Keep the states in ``keep`` that the start reaches through them,
     numbered by breadth-first discovery with successors in alphabet order
     (the canonical numbering of ``pdfa.canonicalize``)."""
-    moves = dfa.transitions
+    step = moves(dfa)
     order = {dfa.start: 0}
     queue = [dfa.start]
     transitions = {}
     for q in queue:
         for sym in dfa.alphabet:
-            t = moves.get((q, sym))
+            t = step.get((q, sym))
             if t is None or t not in keep:
                 continue
             if t not in order:
@@ -84,16 +86,16 @@ def complete_with_sink(dfa: PartialDfa) -> tuple[PartialDfa, int | None]:
     Returns the completed DFA and the sink index, or ``(dfa, None)``
     unchanged when the input is already complete.
     """
+    transitions = moves(dfa)
     missing = [
         (q, sym)
         for q in range(dfa.state_count)
         for sym in dfa.alphabet
-        if (q, sym) not in dfa.transitions
+        if (q, sym) not in transitions
     ]
     if not missing:
         return dfa, None
     sink = dfa.state_count
-    transitions = dict(dfa.transitions)
     for q, sym in missing:
         transitions[(q, sym)] = sink
     for sym in dfa.alphabet:
@@ -113,6 +115,7 @@ def moore_minimize(dfa: PartialDfa) -> PartialDfa:
     if not t.accepting:
         return t  # canonical empty-language DFA straight from trim
     complete, sink = complete_with_sink(t)
+    step = moves(complete)
 
     n = complete.state_count
     cls = [1 if q in complete.accepting else 0 for q in range(n)]
@@ -120,7 +123,7 @@ def moore_minimize(dfa: PartialDfa) -> PartialDfa:
         remap: dict[tuple, int] = {}
         new = []
         for q in range(n):
-            sig = (cls[q], tuple(cls[complete.transitions[(q, sym)]] for sym in complete.alphabet))
+            sig = (cls[q], tuple(cls[step[(q, sym)]] for sym in complete.alphabet))
             if sig not in remap:
                 remap[sig] = len(remap)
             new.append(remap[sig])
@@ -137,7 +140,7 @@ def moore_minimize(dfa: PartialDfa) -> PartialDfa:
     transitions = {}
     for c in live:
         for sym in complete.alphabet:
-            target = cls[complete.transitions[(reps[c], sym)]]
+            target = cls[step[(reps[c], sym)]]
             if target != dead:
                 transitions[(index[c], sym)] = index[target]
     quotient = PartialDfa(

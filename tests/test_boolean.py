@@ -4,7 +4,6 @@ from hypothesis import given
 from pdfa import (
     Alphabet,
     PartialDfa,
-    accepts,
     complement,
     empty_language_dfa,
     equivalent,
@@ -22,7 +21,7 @@ from pdfa.witnesses import (
     union_total_witness,
 )
 
-from conftest import MALFORMED, dfa_pairs, language, partial_dfas, words
+from conftest import MALFORMED, accepts, dfa_pairs, language, moves, partial_dfas, words
 from moore import reachable
 
 
@@ -129,7 +128,8 @@ def test_dead_dead_pair_is_never_reachable():
     assert u.state_count == (2 + 1) * (3 + 1)
     dead_dead = 2 * (3 + 1) + 3
     assert dead_dead not in reachable(u)
-    assert not any((dead_dead, sym) in u.transitions for sym in u.alphabet)
+    step = moves(u)
+    assert not any((dead_dead, sym) in step for sym in u.alphabet)
 
 
 def test_tags_align_with_product_indexing():
@@ -139,8 +139,9 @@ def test_tags_align_with_product_indexing():
     # pair (p, q) sits at p * (padded size of b) + q
     assert u.state_count == 2 * (2 + 1)
     assert u.start == 0  # (0, 0)
-    assert u.transitions[(0, "b")] == 1 * 3 + 1  # (1, 1)
-    assert u.transitions[(4, "b")] == 0 * 3 + 2  # (0, dead): b has no move from 1
+    step = moves(u)
+    assert step[(0, "b")] == 1 * 3 + 1  # (1, 1)
+    assert step[(4, "b")] == 0 * 3 + 2  # (0, dead): b has no move from 1
     assert 2 in reachable(u)
 
 

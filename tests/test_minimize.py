@@ -9,7 +9,6 @@ from pdfa import (
     empty_language_dfa,
     equivalent,
     intersection_product,
-    is_connected,
     minimize,
     pair_equivalent,
     render_dfa,
@@ -28,8 +27,8 @@ from pdfa.witnesses import (
     union_total_witness,
 )
 
-from conftest import MALFORMED, dfa_pairs, language, partial_dfas
-from moore import complete_with_sink, moore_minimize, restrict, trim
+from conftest import MALFORMED, dfa_pairs, language, moves, partial_dfas
+from moore import complete_with_sink, moore_minimize, reachable, restrict, trim
 
 
 def test_complete_machine_gains_no_sink():
@@ -46,8 +45,8 @@ def test_completion_adds_looping_sink():
     assert completed.state_count == 4
     assert completed.is_complete()
     assert transition_counts(completed).total == 8
-    assert completed.transitions[(sink, "b")] == sink
-    assert completed.transitions[(sink, "c")] == sink
+    assert moves(completed)[(sink, "b")] == sink
+    assert moves(completed)[(sink, "c")] == sink
     assert sink not in completed.accepting
 
 
@@ -192,7 +191,7 @@ def test_canonicalize_erases_state_labels():
         3,
         perm[0],
         frozenset(perm[q] for q in d.accepting),
-        {(perm[q], s): perm[t] for (q, s), t in d.transitions.items()},
+        {(perm[q], s): perm[t] for (q, s), t in moves(d).items()},
     )
     assert relabeled != d
     assert canonicalize(relabeled) == d
@@ -209,7 +208,7 @@ def test_canonicalize_requires_connected_input():
 def test_canonicalize_matches_the_reference_numbering(d):
     """On every connected draw, whatever its start, ``canonicalize`` numbers
     states as the Moore reference's own BFS does, and is then a fixed point."""
-    assume(is_connected(d))
+    assume(reachable(d) == frozenset(range(d.state_count)))
     c = canonicalize(d)
     assert c == restrict(d, frozenset(range(d.state_count)))
     assert canonicalize(c) is c
@@ -231,8 +230,8 @@ def _relabeled(d: PartialDfa) -> PartialDfa:
     leaves a canonically numbered machine of 3 or more states not canonical."""
     n = d.state_count
     perm = [0, *range(n - 1, 0, -1)]
-    moves = {(perm[q], sym): perm[t] for (q, sym), t in d.transitions.items()}
-    return PartialDfa(d.alphabet, n, 0, {perm[q] for q in d.accepting}, moves)
+    relabeled = {(perm[q], sym): perm[t] for (q, sym), t in moves(d).items()}
+    return PartialDfa(d.alphabet, n, 0, {perm[q] for q in d.accepting}, relabeled)
 
 
 def _small_dfas(max_states: int, symbols: str) -> list[PartialDfa]:
@@ -330,7 +329,7 @@ def _one_wrong_merge(d: PartialDfa, search=None) -> PartialDfa:
         return last - 1 if q == last else q
 
     transitions: dict[tuple[int, str], int] = {}
-    for (q, sym), t in sorted(m.transitions.items()):
+    for (q, sym), t in sorted(moves(m).items()):
         transitions.setdefault((fold(q), sym), fold(t))
     return canonicalize(PartialDfa(m.alphabet, last, 0, frozenset(map(fold, m.accepting)), transitions))
 

@@ -1,6 +1,8 @@
 import functools
 import itertools
+import math
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -12,21 +14,22 @@ from pdfa import (
     canonicalize,
     empty_language_dfa,
     equivalent,
-    is_connected,
     minimize,
     pair_equivalent,
     render_dfa,
 )
 from pdfa.oracle import (
     _all_dfas,
+    _canonical_tables,
     _indicator,
     _reached,
     brute_min_transitions,
-    enumerate_dfas,
     verify_lemma1,
 )
 from pdfa.witnesses import epsilon_lang, unary_singleton, union_symbol_witness
 
+from conftest import moves
+from moore import reachable
 from test_minimize import _never_merges, _one_wrong_merge
 
 
@@ -47,29 +50,29 @@ def naive_class_renderings(max_states: int, alphabet: Alphabet) -> set[str]:
             for bits in range(1 << n):
                 accepting = frozenset(q for q in range(n) if bits >> q & 1)
                 d = PartialDfa(alphabet, n, 0, accepting, transitions)
-                if is_connected(d):
+                if reachable(d) == frozenset(range(n)):
                     out.add(render_dfa(canonicalize(d)))
     return out
 
 
 def test_enumeration_matches_naive_search_unary():
-    got = [render_dfa(d) for d in enumerate_dfas(2, Alphabet("a"))]
+    got = [render_dfa(d) for d in _all_dfas(2, Alphabet("a"))]
     assert len(got) == 16
     assert len(set(got)) == 16  # no class listed twice
     assert set(got) == naive_class_renderings(2, Alphabet("a"))
 
 
 def test_enumeration_matches_naive_search_binary():
-    got = [render_dfa(d) for d in enumerate_dfas(2, Alphabet("ab"))]
+    got = [render_dfa(d) for d in _all_dfas(2, Alphabet("ab"))]
     assert len(got) == 188
     assert len(set(got)) == 188
     assert set(got) == naive_class_renderings(2, Alphabet("ab"))
 
 
 def test_enumerated_dfas_are_canonical_and_valid():
-    for d in enumerate_dfas(2, Alphabet("ab")):
-        assert PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, d.transitions) == d
-        assert is_connected(d)
+    for d in _all_dfas(2, Alphabet("ab")):
+        assert PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, moves(d)) == d
+        assert reachable(d) == frozenset(range(d.state_count))
         assert canonicalize(d) == d
         assert d.start == 0
     # the enumerator checks each table once and shares it among 2^n machines:
@@ -81,22 +84,98 @@ def test_enumerated_dfas_are_canonical_and_valid():
 
 
 def test_enumeration_is_deterministic_and_size_ordered():
-    first = list(enumerate_dfas(3, Alphabet("a")))
-    second = list(enumerate_dfas(3, Alphabet("a")))
+    first = list(_all_dfas(3, Alphabet("a")))
+    second = list(_all_dfas(3, Alphabet("a")))
     assert first == second
     sizes = [d.state_count for d in first]
     assert sizes == sorted(sizes)
 
 
 def test_enumeration_refuses_oversized_requests():
-    with pytest.raises(ValueError):
-        enumerate_dfas(0, Alphabet("a"))
-    with pytest.raises(ValueError):
-        enumerate_dfas(15, Alphabet("a"))
-    with pytest.raises(ValueError):
-        enumerate_dfas(5, Alphabet("ab"))
-    with pytest.raises(ValueError):
-        enumerate_dfas(1, Alphabet("abcd"))
+    with pytest.raises(ValueError, match="capped at 14 states"):
+        brute_min_transitions(epsilon_lang(Alphabet("a")), max_states=15)
+    with pytest.raises(ValueError, match="capped at 4 states"):
+        brute_min_transitions(empty_language_dfa(Alphabet("ab")), max_states=5)
+    with pytest.raises(ValueError, match="capped at 3 symbols"):
+        brute_min_transitions(empty_language_dfa(Alphabet("abcd")))
+
+
+def _connected_tables(n: int, k: int) -> int:
+    """The number of labelled n-state tables over k symbols (-1 = undefined)
+    in which every state is reachable from state 0, by brute force."""
+    full = (1 << n) - 1
+    # a row's moves matter to reachability only through the set of their targets
+    rows = Counter(sum(1 << t for t in set(row) if t >= 0)
+                   for row in itertools.product(range(-1, n), repeat=k))
+    count = 0
+    for choice in itertools.product(rows, repeat=n):
+        seen, stack = 1, [0]
+        while stack:
+            new = choice[stack.pop()] & ~seen
+            seen |= new
+            while new:
+                q = new.bit_length() - 1
+                stack.append(q)
+                new ^= 1 << q
+        if seen == full:
+            count += math.prod(rows[mask] for mask in choice)
+    return count
+
+
+def _numbered_by_bfs(table: tuple[int, ...], n: int, k: int) -> bool:
+    """True when breadth-first discovery from state 0, successors in
+    column order, reaches all n states and finds them in the order 0..n-1."""
+    order = [0]
+    for q in order:
+        order.extend(t for t in table[q * k:q * k + k] if t >= 0 and t not in order)
+    return order == list(range(n))
+
+
+def _assert_each_class_once(tables_of, n: int, k: int, classes: int) -> None:
+    tables = list(tables_of(n, k))
+    assert len(tables) == classes
+    assert len(set(tables)) == len(tables)
+    assert all(_numbered_by_bfs(t, n, k) for t in tables)
+
+
+@pytest.mark.parametrize("symbols, n, classes", [
+    *(("ab", n, c) for n, c in zip(range(1, 5), (4, 45, 816, 20225))),
+    *(("b", n, n + 1) for n in range(1, 8)),
+    *(("abc", n, c) for n, c in zip(range(1, 4), (8, 513, 81856))),
+])
+def test_enumerator_yields_each_class_exactly_once(symbols, n, classes):
+    """At every size the sweeps run, a count that shares no code with the
+    enumerator: a connected DFA has no nontrivial automorphism, so each
+    isomorphism class has exactly (n-1)! labelled tables with start 0.
+    Equal counts, with every yielded table canonical and distinct, mean
+    each class comes exactly once."""
+    k = len(symbols)
+    labelled = _connected_tables(n, k)
+    assert labelled == classes * math.factorial(n - 1)
+    _assert_each_class_once(_canonical_tables, n, k, classes)
+
+
+def test_unary_enumerator_yields_n_plus_one_classes_up_to_the_cap():
+    # a chain 0 -> 1 -> ... -> n-1, whose last state halts or returns to any of the n
+    for n in range(1, 15):
+        _assert_each_class_once(_canonical_tables, n, 1, n + 1)
+
+
+def _skips_last_slot_discoveries(n: int, k: int):
+    """Never discovers a state in the last slot before its row, the last
+    slot where it can be discovered."""
+    return (t for t in _canonical_tables(n, k) if all(t.index(s) != s * k - 1 for s in range(1, n)))
+
+
+def _yields_a_table_twice(n: int, k: int):
+    tables = list(_canonical_tables(n, k))
+    return tables + tables[-1:]
+
+
+@pytest.mark.parametrize("mutant", [_skips_last_slot_discoveries, _yields_a_table_twice])
+def test_exactly_once_check_catches_a_broken_enumerator(mutant):
+    with pytest.raises(AssertionError):
+        _assert_each_class_once(mutant, 3, 2, 816)
 
 
 def test_brute_min_on_epsilon():

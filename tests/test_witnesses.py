@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from pdfa import Alphabet, PartialDfa, accepts, complexity, minimize
+from pdfa import Alphabet, PartialDfa, complexity, minimize
 from pdfa.witnesses import (
     WitnessFamily,
     build_witness,
@@ -15,7 +15,7 @@ from pdfa.witnesses import (
     union_total_witness,
 )
 
-from conftest import words
+from conftest import accepts, moves, words
 
 
 def _matches(dfa, pattern, max_len=9):
@@ -152,7 +152,7 @@ def test_all_witnesses_pass_validation():
         epsilon_lang(),
     ]
     for d in samples:
-        assert PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, d.transitions) == d
+        assert PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, moves(d)) == d
         assert minimize(d) == d  # every family builds its own minimal DFA
 
 
