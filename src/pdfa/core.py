@@ -312,9 +312,9 @@ def render_dfa(dfa: PartialDfa) -> str:
     return "".join(out)
 
 
-def render_dot(dfa: PartialDfa, name: str = "pdfa") -> str:
+def render_dot(dfa: PartialDfa) -> str:
     """Graphviz rendering: doublecircle accepting states, arrow into start."""
-    out = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    out = ["digraph pdfa {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     for q in range(dfa.state_count):
         shape = "doublecircle" if q in dfa.accepting else "circle"
         out.append(f"  {q} [shape={shape}];")
