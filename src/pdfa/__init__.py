@@ -32,8 +32,7 @@ from .oracle import (
     verify_lemma1,
 )
 from .witnesses import (
-    WitnessFamily,
-    build_witness,
+    WITNESS_FAMILIES,
     chain_star_witness,
     epsilon_lang,
     unary_cycle,
@@ -51,9 +50,8 @@ __all__ = [
     "OracleResult",
     "PartialDfa",
     "TransitionCounts",
-    "WitnessFamily",
+    "WITNESS_FAMILIES",
     "brute_min_transitions",
-    "build_witness",
     "canonicalize",
     "chain_star_witness",
     "complement",

@@ -514,25 +514,20 @@ def _suite(bound_id: BoundId, per_pair: Callable, require_incomplete: bool = Fal
     _claim(bound_id)(functools.partial(_random_suite, per_pair, require_incomplete))
 
 
-def _language(dfa: PartialDfa) -> tuple[int, tuple[int, ...]]:
-    """sc of ``dfa``'s language and its tc on each symbol, in alphabet order."""
-    report = complexity(dfa)
-    return report.sc, tuple(report.tc_per_symbol.values())
+def _construction(dfa: PartialDfa) -> tuple[int, tuple[int, ...]]:
+    """State count and per-symbol move count of ``dfa`` itself."""
+    return dfa.state_count, tuple(transition_counts(dfa).per_symbol.values())
 
 
 def _operand(dfa: PartialDfa) -> tuple[int, tuple[int, ...]]:
-    """``_language`` of a sampled operand, computed once per group."""
-    return _kept(dfa, lambda: _language(dfa))
+    """sc of a sampled operand's language and its tc on each symbol, in
+    alphabet order, computed once per group."""
+    return _kept(dfa, lambda: _construction(minimize(dfa)))
 
 
 def _union(a: PartialDfa, b: PartialDfa) -> tuple[int, ...]:
     """Per-symbol tc of the union of a sampled pair, computed once per group."""
-    return _kept((a, b), lambda: _language(union_product(a, b))[1])
-
-
-def _construction(dfa: PartialDfa) -> tuple[int, tuple[int, ...]]:
-    """State count and per-symbol move count of ``dfa`` itself."""
-    return dfa.state_count, tuple(transition_counts(dfa).per_symbol.values())
+    return _kept((a, b), lambda: _construction(minimize(union_product(a, b)))[1])
 
 
 def _per_symbol(bound, exact: bool, a, b, got: tuple[int, ...]):

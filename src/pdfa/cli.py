@@ -27,7 +27,7 @@ from .bounds import (
 from .core import Alphabet, PartialDfa, parse_dfa, render_dfa, render_dot, transition_counts
 from .minimize import _measures, equivalent, minimize
 from .oracle import brute_min_transitions, verify_lemma1
-from .witnesses import _CONSTRUCTORS, WitnessFamily, build_witness
+from .witnesses import WITNESS_FAMILIES
 
 
 def _load(path: str) -> PartialDfa:
@@ -87,25 +87,25 @@ def cmd_op(args: argparse.Namespace) -> int:
     return 0
 
 
-def _witness_flags(family: WitnessFamily) -> dict[str, bool]:
+def _witness_flags(family: str) -> dict[str, bool]:
     """Each flag ``family`` takes, and whether it is required: its constructor's
     parameters, ``k_map`` given as --loop."""
-    parameters = inspect.signature(_CONSTRUCTORS[family]).parameters.values()
+    parameters = inspect.signature(WITNESS_FAMILIES[family]).parameters.values()
     return {"loop" if q.name == "k_map" else q.name: q.default is q.empty for q in parameters}
 
 
 def _witness(args: argparse.Namespace) -> PartialDfa:
     """The family's witness from the flags given; defaults are the constructors'."""
-    family = WitnessFamily(args.family)
+    family = args.family
     takes = _witness_flags(family)
-    every = dict.fromkeys(name for other in WitnessFamily for name in _witness_flags(other))
+    every = dict.fromkeys(name for other in WITNESS_FAMILIES for name in _witness_flags(other))
     params = {name: getattr(args, name) for name in every if getattr(args, name) is not None}
     stray = [name for name in params if name not in takes]
     if stray:
-        raise ValueError(f"witness family {family.value!r} does not take {_flags(stray)}")
+        raise ValueError(f"witness family {family!r} does not take {_flags(stray)}")
     for name, required in takes.items():
         if required and name not in params:
-            raise ValueError(f"witness family {family.value!r} requires --{name}")
+            raise ValueError(f"witness family {family!r} requires --{name}")
     if "alphabet" in params:
         params["alphabet"] = Alphabet(params["alphabet"])
     if "loop" in params:
@@ -118,7 +118,7 @@ def _witness(args: argparse.Namespace) -> PartialDfa:
             if sym in k_map:
                 raise ValueError(f"--loop gives symbol {sym!r} more than once")
             k_map[sym] = int(match[2])
-    return build_witness(family, params)
+    return WITNESS_FAMILIES[family](**params)
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_op, op=op)
 
     p_wit = sub.add_parser("witness", help="emit a witness-family DFA as .pdfa")
-    p_wit.add_argument("family", choices=[f.value for f in WitnessFamily])
+    p_wit.add_argument("family", choices=list(WITNESS_FAMILIES))
     p_wit.add_argument("--n", type=int)
     p_wit.add_argument("--k", type=int)
     p_wit.add_argument("--m", type=int)

@@ -16,6 +16,7 @@ equal languages produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -45,12 +46,6 @@ class Alphabet(tuple):
         if len(set(self)) != len(self):
             raise ValueError("alphabet symbols must be distinct")
         return self
-
-    def index(self, symbol: str) -> int:
-        try:
-            return super().index(symbol)
-        except ValueError:
-            raise ValueError(f"symbol {symbol!r} not in alphabet") from None
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -189,6 +184,34 @@ def _bfs_order(table: tuple[int, ...], start: int, k: int) -> list[int]:
     return order
 
 
+def pair_equivalent(a: PartialDfa, b: PartialDfa) -> bool:
+    """Language equality by synchronized product exploration.
+
+    Walks pairs of states with -1 standing for the implicit dead state;
+    a pair with mismatched acceptance witnesses a separating word.
+    Independent of minimization -- used as the cross-check half of
+    :func:`equivalent` and by the brute-force oracle.
+    """
+    if a.alphabet != b.alphabet:
+        raise ValueError("cannot compare DFAs over different alphabets")
+    if a is b:
+        return True
+    k = len(a.alphabet)
+    dead = (-1,) * k  # the last row, which state -1 indexes
+    ta, tb = a.table + dead, b.table + dead
+    seen = {(a.start, b.start)}
+    queue = [(a.start, b.start)]
+    for p, q in queue:
+        if (p in a.accepting) != (q in b.accepting):
+            return False
+        for j in range(k):
+            pair = (ta[p * k + j], tb[q * k + j])
+            if pair not in seen and pair != (-1, -1):  # both dead: rejects everything
+                seen.add(pair)
+                queue.append(pair)
+    return True
+
+
 def empty_language_dfa(alphabet: Alphabet) -> PartialDfa:
     """The canonical recognizer of the empty language: one bare state."""
     return PartialDfa.from_table(alphabet, 1, 0, frozenset(), (-1,) * len(alphabet))
@@ -254,6 +277,8 @@ def parse_dfa(text: str) -> PartialDfa:
                 state_count = want_int(tokens[1], lineno, "state count")
                 if state_count < 1:
                     raise DfaParseError(lineno, f"state count must be at least 1, got {state_count}")
+                if state_count * len(alphabet) > sys.maxsize:  # no table that long can be indexed
+                    raise DfaParseError(lineno, f"state count {state_count} is too large")
             elif expected == "start":
                 if len(tokens) != 2:
                     raise DfaParseError(lineno, "start line takes exactly one state")

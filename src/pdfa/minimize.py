@@ -5,7 +5,8 @@ its dead state.  ``minimize`` never adds that state: it refines the live
 states over the defined moves only (Valmari & Lehtinen, "Efficient
 minimization of DFAs with partial transition functions", STACS 2008).
 The result is unique and canonically numbered, which makes language
-equality a dataclass comparison -- one of the two equivalence routes below.
+equality a dataclass comparison -- one of the two routes ``equivalent``
+takes; the other is ``core.pair_equivalent``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import PartialDfa, _bfs_order, empty_language_dfa, transition_counts
+from .core import PartialDfa, _bfs_order, empty_language_dfa, pair_equivalent, transition_counts
 
 
 @dataclass(frozen=True)
@@ -171,34 +172,6 @@ def _measures(m: PartialDfa) -> ComplexityReport:
         tc_per_symbol=dict(counts.per_symbol),
         nerode_classes=classes,
     )
-
-
-def pair_equivalent(a: PartialDfa, b: PartialDfa) -> bool:
-    """Language equality by synchronized product exploration.
-
-    Walks pairs of states with -1 standing for the implicit dead state;
-    a pair with mismatched acceptance witnesses a separating word.
-    Independent of minimization -- used as the cross-check half of
-    :func:`equivalent` and by the brute-force oracle.
-    """
-    if a.alphabet != b.alphabet:
-        raise ValueError("cannot compare DFAs over different alphabets")
-    if a is b:
-        return True
-    k = len(a.alphabet)
-    dead = (-1,) * k  # the last row, which state -1 indexes
-    ta, tb = a.table + dead, b.table + dead
-    seen = {(a.start, b.start)}
-    queue = [(a.start, b.start)]
-    for p, q in queue:
-        if (p in a.accepting) != (q in b.accepting):
-            return False
-        for j in range(k):
-            pair = (ta[p * k + j], tb[q * k + j])
-            if pair not in seen and pair != (-1, -1):  # both dead: rejects everything
-                seen.add(pair)
-                queue.append(pair)
-    return True
 
 
 def equivalent(a: PartialDfa, b: PartialDfa) -> bool:

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .core import Alphabet, PartialDfa, render_dfa, transition_counts
-from .minimize import _search, canonicalize, minimize, pair_equivalent
+from .core import Alphabet, PartialDfa, pair_equivalent, render_dfa, transition_counts
+from .minimize import _search, canonicalize, minimize
 
 # Desk-scale caps by alphabet size, keeping any single call in the
 # minutes range: unary tables grow like (n+1)*2^n, binary 4-state is

@@ -10,20 +10,9 @@ transitions.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable, Mapping
 
 from .core import Alphabet, PartialDfa
-
-
-class WitnessFamily(Enum):
-    UNION_SYMBOL = "union-symbol"
-    UNION_MULTI = "union-multi"
-    UNION_TOTAL = "union-total"
-    UNARY_CYCLE = "unary-cycle"
-    UNARY_SINGLETON = "unary-singleton"
-    CHAIN_STAR = "chain-star"
-    EPSILON = "epsilon"
 
 
 def union_symbol_witness(
@@ -121,23 +110,16 @@ def epsilon_lang(alphabet: Alphabet | None = None) -> PartialDfa:
     return PartialDfa(alphabet, 1, 0, frozenset({0}), {})
 
 
-# each family's constructor; its signature is the family's parameters
-_CONSTRUCTORS: dict[WitnessFamily, Callable[..., PartialDfa]] = {
-    WitnessFamily.UNION_SYMBOL: union_symbol_witness,
-    WitnessFamily.UNION_MULTI: union_multi_witness,
-    WitnessFamily.UNION_TOTAL: union_total_witness,
-    WitnessFamily.UNARY_CYCLE: unary_cycle,
-    WitnessFamily.UNARY_SINGLETON: unary_singleton,
-    WitnessFamily.CHAIN_STAR: chain_star_witness,
-    WitnessFamily.EPSILON: epsilon_lang,
+# each `pdfa witness` family by name; its constructor's signature is its
+# parameters.  An unknown or missing parameter raises TypeError and a bad
+# value ValueError; the CLI checks its flags against the signature first,
+# so only the ValueErrors reach it, as input errors.
+WITNESS_FAMILIES: dict[str, Callable[..., PartialDfa]] = {
+    "union-symbol": union_symbol_witness,
+    "union-multi": union_multi_witness,
+    "union-total": union_total_witness,
+    "unary-cycle": unary_cycle,
+    "unary-singleton": unary_singleton,
+    "chain-star": chain_star_witness,
+    "epsilon": epsilon_lang,
 }
-
-
-def build_witness(family: WitnessFamily, params: Mapping[str, object] = {}) -> PartialDfa:
-    """Build the ``family`` witness from its constructor's keyword ``params``.
-
-    An unknown or missing parameter raises TypeError and a bad value
-    ValueError.  The CLI checks its flags against each constructor's
-    signature first, so only the ValueErrors reach it, as input errors.
-    """
-    return _CONSTRUCTORS[family](**params)

@@ -287,23 +287,23 @@ def test_run_suite_draws_each_sample_once(monkeypatch):
 
 def test_run_suite_measures_each_sampled_machine_once(monkeypatch):
     operands, measured, unions = [], [], []  # each holds its machines, so no id is reused
-    draw, measure, union = pdfa.bounds.sample_pairs, pdfa.bounds.complexity, pdfa.bounds.union_product
+    draw, measure, union = pdfa.bounds.sample_pairs, pdfa.bounds.minimize, pdfa.bounds.union_product
 
     def drawn(*args):
         sample = draw(*args)
         operands.extend(sample)
         return sample
 
-    def counted(dfa):
+    def counted(dfa, *args):
         measured.append(dfa)
-        return measure(dfa)
+        return measure(dfa, *args)
 
     def built(a, b):
         unions.append((a, b))
         return union(a, b)
 
     monkeypatch.setattr(pdfa.bounds, "sample_pairs", drawn)
-    monkeypatch.setattr(pdfa.bounds, "complexity", counted)
+    monkeypatch.setattr(pdfa.bounds, "minimize", counted)
     monkeypatch.setattr(pdfa.bounds, "union_product", built)
     run_suite(max_n=3, pairs=5)
     assert len(operands) == 10

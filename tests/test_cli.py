@@ -9,7 +9,7 @@ import pdfa.cli
 from pdfa import parse_dfa, render_dfa, transition_counts
 from pdfa.bounds import BoundCheckReport, BoundId, Relation
 from pdfa.cli import main
-from pdfa.witnesses import WitnessFamily, unary_cycle, union_symbol_witness
+from pdfa.witnesses import WITNESS_FAMILIES, unary_cycle, union_symbol_witness
 
 
 @pytest.fixture
@@ -35,6 +35,14 @@ def test_analyze_rejects_malformed_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "line 2" in err
+
+
+def test_analyze_rejects_a_state_count_too_large_to_index(tmp_path, capsys):
+    huge = tmp_path / "huge.pdfa"
+    huge.write_text("alphabet a\nstates 99999999999999999999\nstart 0\naccept 0\n", encoding="utf-8")
+    assert main(["analyze", str(huge)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: line 2: state count 99999999999999999999 is too large\n")
 
 
 def test_analyze_missing_file(capsys):
@@ -192,7 +200,7 @@ def _witness_argv(family, *names):
 
 
 def test_witness_flag_reference_covers_every_family():
-    assert sorted(WITNESS_FLAGS) == sorted(f.value for f in WitnessFamily)
+    assert list(WITNESS_FLAGS) == list(WITNESS_FAMILIES)
     taken = {name for required, optional in WITNESS_FLAGS.values() for name in required + optional}
     assert sorted(FLAG_VALUES) == sorted(taken)
 

@@ -1,4 +1,6 @@
+import ast
 import functools
+import inspect
 import itertools
 import math
 import sys
@@ -7,6 +9,8 @@ from collections import Counter
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+import pdfa.oracle
 
 from pdfa import (
     Alphabet,
@@ -53,6 +57,17 @@ def naive_class_renderings(max_states: int, alphabet: Alphabet) -> set[str]:
                 if reachable(d) == frozenset(range(n)):
                     out.add(render_dfa(canonicalize(d)))
     return out
+
+
+def test_the_oracle_takes_from_the_minimizer_only_what_it_certifies():
+    # its language walk comes from core, so no change to minimize can bend it
+    taken = [
+        alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(pdfa.oracle)))
+        if isinstance(node, ast.ImportFrom) and node.module in ("minimize", "pdfa.minimize")
+        for alias in node.names
+    ]
+    assert sorted(taken) == ["_search", "canonicalize", "minimize"]
 
 
 def test_enumeration_matches_naive_search_unary():

@@ -4,8 +4,6 @@ import pytest
 
 from pdfa import Alphabet, PartialDfa, complexity, minimize
 from pdfa.witnesses import (
-    WitnessFamily,
-    build_witness,
     chain_star_witness,
     epsilon_lang,
     unary_cycle,
@@ -154,15 +152,3 @@ def test_all_witnesses_pass_validation():
     for d in samples:
         assert PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, moves(d)) == d
         assert minimize(d) == d  # every family builds its own minimal DFA
-
-
-def test_build_witness_dispatch():
-    assert build_witness(WitnessFamily.UNION_SYMBOL, {"n": 3, "k": 1}) == union_symbol_witness(3, 1)
-    assert build_witness(WitnessFamily.EPSILON) == epsilon_lang()
-
-
-def test_build_witness_surfaces_bad_params():
-    with pytest.raises(TypeError):
-        build_witness(WitnessFamily.UNARY_CYCLE, {"length": 3})
-    with pytest.raises(ValueError):
-        build_witness(WitnessFamily.UNION_SYMBOL, {"n": 2, "k": 2})
