@@ -121,26 +121,6 @@ def complement_upper(sigma_size: int, t: int) -> int:
 
 # --- reports ----------------------------------------------------------------
 
-class BoundId(Enum):
-    UNION_SYMBOL_TIGHT = "union-symbol-tight"
-    UNION_SYMBOL_MAX = "union-symbol-max"
-    UNION_MULTI_TIGHT = "union-multi-tight"
-    UNION_SC_TIGHT = "union-sc-tight"
-    UNION_TOTAL_TIGHT = "union-total-tight"
-    UNION_CYCLE_UPPER = "union-cycle-upper"
-    UNION_TOTAL_UPPER = "union-total-upper"
-    UNION_SYMBOL_SOUND = "union-symbol-sound"
-    UNION_CONSTRUCTION_EXACT = "union-construction-exact"
-    INTERSECTION_TIGHT = "intersection-tight"
-    INTERSECTION_UPPER = "intersection-upper"
-    INTERSECTION_CONSTRUCTION_EXACT = "intersection-construction-exact"
-    COMPLEMENT_TIGHT = "complement-tight"
-    COMPLEMENT_UPPER = "complement-upper"
-    UNARY_TIGHT = "unary-tight"
-    UNARY_EXCEPTION = "unary-exception"
-    CONJECTURE_SMALL = "conjecture-small"
-
-
 class Relation(Enum):
     EQUAL = "EQUAL"
     WITHIN_BOUND = "WITHIN_BOUND"
@@ -156,7 +136,7 @@ class BoundCheckReport:
     a rendering of each machine it measured.
     """
 
-    bound_id: BoundId
+    bound_id: str
     params: Mapping[str, int]
     formula_value: int
     measured_value: int
@@ -173,7 +153,7 @@ class BoundCheckReport:
 
 def _label(report: BoundCheckReport) -> str:
     """``bound p=v ...``: the check's name in a report line and a table note."""
-    return " ".join([report.bound_id.value, *(f"{k}={v}" for k, v in report.params.items())])
+    return " ".join([report.bound_id, *(f"{k}={v}" for k, v in report.params.items())])
 
 
 def render_report_line(report: BoundCheckReport) -> str:
@@ -266,11 +246,11 @@ def sample_pairs(
 
 Outcome = tuple[int, int, Relation, str, Sequence[PartialDfa]]
 
-# one row per BoundId: (body, the body's parameters, whether n1 and n2 must be coprime)
-_CLAIMS: dict[BoundId, tuple[Callable[..., Outcome], Mapping[str, inspect.Parameter], bool]] = {}
+# row name -> (body, the body's parameters, whether n1 and n2 must be coprime), in registration order
+_CLAIMS: dict[str, tuple[Callable[..., Outcome], Mapping[str, inspect.Parameter], bool]] = {}
 
 
-def _claim(bound_id: BoundId, coprime: bool = False):
+def _claim(bound_id: str, coprime: bool = False):
     """Register the decorated body as ``bound_id``'s row of the claim table.
 
     The body's signature lists the row's parameters in report order: one
@@ -328,19 +308,19 @@ def _symbol_witness_union(n1: int, n2: int, k1: int, k2: int) -> tuple[PartialDf
         union_symbol_witness(n1, k1, alphabet=_BC), union_symbol_witness(n2, k2, alphabet=_BC))))
 
 
-@_claim(BoundId.UNION_SYMBOL_TIGHT, coprime=True)
+@_claim("union-symbol-tight", coprime=True)
 def _union_symbol_tight(n1: int, n2: int, k1: int = 1, k2: int = 1) -> Outcome:
     m, _total, per = _symbol_witness_union(n1, n2, k1, k2)
     formula = union_symbol_upper(k1, k2, n1, n2)
     return formula, per["b"], _relation(per["b"], formula), "", (m,)
 
 
-@_claim(BoundId.UNION_SYMBOL_MAX, coprime=True)
+@_claim("union-symbol-max", coprime=True)
 def _union_symbol_max(n1: int, n2: int) -> Outcome:
     return _union_symbol_tight(n1, n2, n1 - 1, n2 - 1)  # n1*n2 + n1 + n2 - 3
 
 
-@_claim(BoundId.UNION_MULTI_TIGHT, coprime=True)
+@_claim("union-multi-tight", coprime=True)
 def _union_multi_tight(n1: int, n2: int, ka1: int = 1, kb1=lambda p: max(1, p["n1"] - 1),
                        ka2: int = 1, kb2=lambda p: max(1, p["n2"] - 1)) -> Outcome:
     w1 = union_multi_witness(n1, {"a": ka1, "b": kb1}, alphabet=_ABC)
@@ -354,7 +334,7 @@ def _union_multi_tight(n1: int, n2: int, ka1: int = 1, kb1=lambda p: max(1, p["n
     return formula, measured, _relation(measured, formula, failed=bool(mismatches)), note, (m,)
 
 
-@_claim(BoundId.UNION_SC_TIGHT, coprime=True)
+@_claim("union-sc-tight", coprime=True)
 def _union_sc_tight(n1: int, n2: int, k1: int = 1, k2: int = 1) -> Outcome:
     m, _total, _per = _symbol_witness_union(n1, n2, k1, k2)
     formula = union_state_upper(n1, n2)
@@ -377,7 +357,7 @@ def _union_total_pair(n1: int, n2: int) -> tuple[int, int, PartialDfa, int]:
     return _kept(("total", n1, n2), measure)
 
 
-@_claim(BoundId.UNION_TOTAL_TIGHT, coprime=True)
+@_claim("union-total-tight", coprime=True)
 def _union_total_tight(n1: int, n2: int) -> Outcome:
     t1, t2, m, measured = _union_total_pair(n1, n2)
     formula = union_total_lower(t1, t2)
@@ -386,7 +366,7 @@ def _union_total_tight(n1: int, n2: int) -> Outcome:
     return formula, measured, _relation(measured, formula, failed=not premise), note, (m,)
 
 
-@_claim(BoundId.UNION_CYCLE_UPPER)
+@_claim("union-cycle-upper")
 def _union_cycle_upper(n1: int, n2: int) -> Outcome:
     t1, t2, m, measured = _union_total_pair(n1, n2)
     formula = union_total_lower(t1, t2)
@@ -396,14 +376,14 @@ def _union_cycle_upper(n1: int, n2: int) -> Outcome:
     return formula, measured, _relation(measured, formula, tight=coprime), note, (m,)
 
 
-@_claim(BoundId.INTERSECTION_TIGHT, coprime=True)
+@_claim("intersection-tight", coprime=True)
 def _intersection_tight(n1: int, n2: int) -> Outcome:
     m, measured, _per = _measured(intersection_product(unary_cycle(n1), unary_cycle(n2)))
     formula = intersection_upper(n1, n2)
     return formula, measured, _relation(measured, formula), "", (m,)
 
 
-@_claim(BoundId.COMPLEMENT_TIGHT)
+@_claim("complement-tight")
 def _complement_tight(n: int, sigma: int = 2) -> Outcome:
     if not 1 <= sigma <= 3:
         raise ValueError(f"sigma must be 1..3, got {sigma}")
@@ -415,7 +395,7 @@ def _complement_tight(n: int, sigma: int = 2) -> Outcome:
     return formula, measured, _relation(measured, formula, failed=t != n), note, (m,)
 
 
-@_claim(BoundId.UNARY_TIGHT, coprime=True)
+@_claim("unary-tight", coprime=True)
 def _unary_tight(n1: int, n2: int) -> Outcome:
     if n1 < 3 or n2 < 2:
         raise ValueError(
@@ -430,7 +410,7 @@ def _unary_tight(n1: int, n2: int) -> Outcome:
     return formula, measured, _relation(measured, formula), "", (m,)
 
 
-@_claim(BoundId.UNARY_EXCEPTION)
+@_claim("unary-exception")
 def _unary_exception(n: int) -> Outcome:
     if n < 2:
         raise ValueError(f"the exception probe needs n >= 2, got {n}")
@@ -457,7 +437,7 @@ def _unary_exception(n: int) -> Outcome:
     return reference, measured, relation, note, (m,)
 
 
-@_claim(BoundId.CONJECTURE_SMALL)
+@_claim("conjecture-small")
 def _conjecture_small(m: int) -> Outcome:
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -509,7 +489,7 @@ def _random_suite(per_pair: Callable, require_incomplete: bool, pairs: int = DEF
     return formula, measured, relation, note, worst_pair
 
 
-def _suite(bound_id: BoundId, per_pair: Callable, require_incomplete: bool = False) -> None:
+def _suite(bound_id: str, per_pair: Callable, require_incomplete: bool = False) -> None:
     """Register a random suite's row; ``per_pair(a, b)`` gives (measured, formula, bad)."""
     _claim(bound_id)(functools.partial(_random_suite, per_pair, require_incomplete))
 
@@ -565,43 +545,39 @@ def _complement_upper_pair(a: PartialDfa, _b: PartialDfa) -> tuple[int, int, boo
     return measured, formula, measured > formula
 
 
-_suite(BoundId.UNION_TOTAL_UPPER, _union_total_upper_pair)
-_suite(BoundId.UNION_SYMBOL_SOUND, lambda a, b: _per_symbol(
+_suite("union-total-upper", _union_total_upper_pair)
+_suite("union-symbol-sound", lambda a, b: _per_symbol(
     union_symbol_upper, False, _operand(a), _operand(b), _union(a, b)))
 # the union construction's count is exact only with a dead slot on both sides
-_suite(BoundId.UNION_CONSTRUCTION_EXACT, lambda a, b: _per_symbol(
+_suite("union-construction-exact", lambda a, b: _per_symbol(
     union_symbol_upper, True, _construction(a), _construction(b),
     _construction(union_product(a, b))[1]), require_incomplete=True)
-_suite(BoundId.INTERSECTION_UPPER, _intersection_upper_pair)
-_suite(BoundId.INTERSECTION_CONSTRUCTION_EXACT, lambda a, b: _per_symbol(
+_suite("intersection-upper", _intersection_upper_pair)
+_suite("intersection-construction-exact", lambda a, b: _per_symbol(
     lambda t1, t2, *_sizes: intersection_upper(t1, t2), True, _construction(a), _construction(b),
     _construction(intersection_product(a, b))[1]))
-_suite(BoundId.COMPLEMENT_UPPER, _complement_upper_pair)
+_suite("complement-upper", _complement_upper_pair)
 
 
 # every parameter some check takes, in first-use order (the CLI's flags)
 CHECK_PARAMS = tuple(dict.fromkeys(name for _body, params, _coprime in _CLAIMS.values() for name in params))
 
 
-def check_bound(bound_id: BoundId | str, params: Mapping[str, int] | None = None) -> BoundCheckReport:
+def check_bound(bound_id: str, params: Mapping[str, int] | None = None) -> BoundCheckReport:
     """Run one bound check; see the module docstring for verdict semantics.
 
     Raises ValueError for an unknown bound, a parameter the check does
     not take, a missing required one, or non-coprime n1, n2 where the
     claim needs them coprime.
     """
-    if isinstance(bound_id, str):
-        try:
-            bound_id = BoundId(bound_id)
-        except ValueError:
-            known = ", ".join(b.value for b in BoundId)
-            raise ValueError(f"unknown bound {bound_id!r}; known bounds: {known}") from None
+    if bound_id not in _CLAIMS:
+        raise ValueError(f"unknown bound {bound_id!r}; known bounds: {', '.join(_CLAIMS)}")
     body, signature, coprime = _CLAIMS[bound_id]
     given = dict(params or {})
     unknown = [name for name in given if name not in signature]
     if unknown:
         raise ValueError(
-            f"{bound_id.value} does not take {', '.join(unknown)}; it takes {', '.join(signature)}"
+            f"{bound_id} does not take {', '.join(unknown)}; it takes {', '.join(signature)}"
         )
     p: dict[str, int] = {}
     for name, param in signature.items():
@@ -636,7 +612,6 @@ def run_suite(
     """
     if max_n < 3:
         raise ValueError(f"need max_n >= 3 to instantiate the tight families, got {max_n}")
-    B = BoundId
     sizes = range(2, max_n + 1)
     grid = [(n1, n2) for n1 in sizes for n2 in sizes if n1 < n2 and math.gcd(n1, n2) == 1]
 
@@ -644,29 +619,29 @@ def run_suite(
         pair = {"n1": n1, "n2": n2}
         for k1 in range(1, n1):
             for k2 in range(1, n2):
-                group = [(B.UNION_SYMBOL_TIGHT, {**pair, "k1": k1, "k2": k2})]
+                group = [("union-symbol-tight", {**pair, "k1": k1, "k2": k2})]
                 if k1 == k2 == 1:
-                    group.append((B.UNION_SC_TIGHT, pair))
+                    group.append(("union-sc-tight", pair))
                 if (k1, k2) == (n1 - 1, n2 - 1):
-                    group.append((B.UNION_SYMBOL_MAX, pair))
+                    group.append(("union-symbol-max", pair))
                 yield group
-        yield [(B.UNION_MULTI_TIGHT, pair)]
-        yield [(B.UNION_TOTAL_TIGHT, pair), (B.UNION_CYCLE_UPPER, pair)]
-        yield [(B.INTERSECTION_TIGHT, pair)]
+        yield [("union-multi-tight", pair)]
+        yield [("union-total-tight", pair), ("union-cycle-upper", pair)]
+        yield [("intersection-tight", pair)]
 
     sample = {"pairs": pairs, "seed": seed}
     plan = itertools.chain(
         (group for n1, n2 in grid for group in witness_groups(n1, n2)),
-        ([(B.UNION_CYCLE_UPPER, {"n1": n1, "n2": n2})]
+        ([("union-cycle-upper", {"n1": n1, "n2": n2})]
          for n1 in sizes for n2 in sizes if n1 <= n2 and (n1, n2) not in grid),
-        ([(B.UNARY_TIGHT, {"n1": n1, "n2": n2})]
+        ([("unary-tight", {"n1": n1, "n2": n2})]
          for n1 in sizes for n2 in sizes if n1 >= 3 and n2 != n1 and math.gcd(n1, n2) == 1),
-        ([(B.UNARY_EXCEPTION, {"n": n})] for n in (2, 3)),
-        ([(B.COMPLEMENT_TIGHT, {"n": n})] for n in range(1, max_n + 1)),
-        ([(B.CONJECTURE_SMALL, {"m": m})] for m in (1, 2, 3)),
-        [[(bound_id, sample) for bound_id in (B.UNION_TOTAL_UPPER, B.UNION_SYMBOL_SOUND,
-          B.INTERSECTION_UPPER, B.INTERSECTION_CONSTRUCTION_EXACT, B.COMPLEMENT_UPPER)],
-         [(B.UNION_CONSTRUCTION_EXACT, sample)]],  # its sample keeps only incomplete draws
+        ([("unary-exception", {"n": n})] for n in (2, 3)),
+        ([("complement-tight", {"n": n})] for n in range(1, max_n + 1)),
+        ([("conjecture-small", {"m": m})] for m in (1, 2, 3)),
+        [[(bound_id, sample) for bound_id in ("union-total-upper", "union-symbol-sound",
+          "intersection-upper", "intersection-construction-exact", "complement-upper")],
+         [("union-construction-exact", sample)]],  # its sample keeps only incomplete draws
     )
     reports = []
     for group in plan:
@@ -675,5 +650,5 @@ def run_suite(
             reports += [check_bound(bound_id, params) for bound_id, params in group]
         finally:
             _shared.reset(token)
-    reports.sort(key=lambda r: (r.bound_id.value, tuple(sorted(r.params.items()))))
+    reports.sort(key=lambda r: (r.bound_id, tuple(sorted(r.params.items()))))
     return reports

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import re
 import sys
 from pathlib import Path
@@ -268,7 +269,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # keep the flush at exit quiet
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ equal languages produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -249,7 +248,7 @@ def parse_dfa(text: str) -> PartialDfa:
     state_count = 0
     start = 0
     accepting: set[int] = set()
-    transitions: dict[tuple[int, str], int] = {}
+    table: list[int] = []
 
     def want_int(token: str, lineno: int, what: str) -> int:
         try:
@@ -277,8 +276,10 @@ def parse_dfa(text: str) -> PartialDfa:
                 state_count = want_int(tokens[1], lineno, "state count")
                 if state_count < 1:
                     raise DfaParseError(lineno, f"state count must be at least 1, got {state_count}")
-                if state_count * len(alphabet) > sys.maxsize:  # no table that long can be indexed
-                    raise DfaParseError(lineno, f"state count {state_count} is too large")
+                try:  # a table too long to index or to hold
+                    table = [-1] * (state_count * len(alphabet))
+                except (OverflowError, MemoryError):
+                    raise DfaParseError(lineno, f"state count {state_count} is too large") from None
             elif expected == "start":
                 if len(tokens) != 2:
                     raise DfaParseError(lineno, "start line takes exactly one state")
@@ -306,9 +307,10 @@ def parse_dfa(text: str) -> PartialDfa:
             raise DfaParseError(lineno, f"source state {src} out of range 0..{state_count - 1}")
         if not 0 <= dst < state_count:
             raise DfaParseError(lineno, f"target state {dst} out of range 0..{state_count - 1}")
-        if (src, sym) in transitions:
+        slot = src * len(alphabet) + alphabet.index(sym)
+        if table[slot] != -1:
             raise DfaParseError(lineno, f"duplicate transition for state {src} on symbol {sym!r}")
-        transitions[(src, sym)] = dst
+        table[slot] = dst
 
     if stage < 4:
         # reported at the line after the input's last one, where the header was due
@@ -316,7 +318,7 @@ def parse_dfa(text: str) -> PartialDfa:
             len(text.splitlines()) + 1, f"incomplete input: missing {headers[stage]!r} line"
         )
     assert alphabet is not None
-    return PartialDfa(alphabet, state_count, start, frozenset(accepting), transitions)
+    return PartialDfa.from_table(alphabet, state_count, start, accepting, table)
 
 
 def render_dfa(dfa: PartialDfa) -> str:

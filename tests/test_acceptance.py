@@ -25,7 +25,6 @@ from pdfa import (
 )
 from pdfa.bounds import (
     DEFAULT_SEED,
-    BoundId,
     Relation,
     check_bound,
     sample_pairs,
@@ -71,7 +70,7 @@ def test_01_per_symbol_union_tightness(announce):
             for k1 in range(1, n1):
                 for k2 in range(1, n2):
                     rep = check_bound(
-                        BoundId.UNION_SYMBOL_TIGHT,
+                        "union-symbol-tight",
                         {"n1": n1, "n2": n2, "k1": k1, "k2": k2},
                     )
                     assert rep.relation is Relation.EQUAL, rep
@@ -79,7 +78,7 @@ def test_01_per_symbol_union_tightness(announce):
                         k1 * n2 + k2 * n1 - k1 * k2 + k1 + k2
                     )
         spot = check_bound(
-            BoundId.UNION_SYMBOL_TIGHT, {"n1": 2, "n2": 3, "k1": 1, "k2": 2}
+            "union-symbol-tight", {"n1": 2, "n2": 3, "k1": 1, "k2": 2}
         )
         assert spot.measured_value == 8
 
@@ -87,7 +86,7 @@ def test_01_per_symbol_union_tightness(announce):
 def test_02_maximal_loop_instances(announce):
     with announce(2, "maximal-loop per-symbol count reaches n1*n2+n1+n2-3"):
         for (n1, n2), expected in [((2, 3), 8), ((3, 4), 16), ((4, 5), 26)]:
-            rep = check_bound(BoundId.UNION_SYMBOL_MAX, {"n1": n1, "n2": n2})
+            rep = check_bound("union-symbol-max", {"n1": n1, "n2": n2})
             assert rep.relation is Relation.EQUAL, rep
             assert rep.formula_value == rep.measured_value == expected
             assert expected == n1 * n2 + n1 + n2 - 3
@@ -96,10 +95,10 @@ def test_02_maximal_loop_instances(announce):
 def test_03_union_state_complexity_tight(announce):
     with announce(3, "union state complexity reaches n1*n2+n1+n2"):
         for n1, n2 in COPRIME_GRID:
-            rep = check_bound(BoundId.UNION_SC_TIGHT, {"n1": n1, "n2": n2})
+            rep = check_bound("union-sc-tight", {"n1": n1, "n2": n2})
             assert rep.relation is Relation.EQUAL, rep
             assert rep.measured_value == n1 * n2 + n1 + n2
-        spot = check_bound(BoundId.UNION_SC_TIGHT, {"n1": 2, "n2": 3})
+        spot = check_bound("union-sc-tight", {"n1": 2, "n2": 3})
         assert spot.measured_value == 11
 
 
@@ -112,7 +111,7 @@ def test_04_minimal_total_witnesses_reach_lower_bound(announce):
             assert (t1, t2) == (n1 + 1, n2 + 1)
             measured = complexity(union_product(w1, w2)).tc
             assert measured == t1 * t2 + t1 + t2 - 1
-            rep = check_bound(BoundId.UNION_TOTAL_TIGHT, {"n1": n1, "n2": n2})
+            rep = check_bound("union-total-tight", {"n1": n1, "n2": n2})
             assert rep.relation is Relation.EQUAL, rep
         assert complexity(
             union_product(
@@ -156,7 +155,7 @@ def test_05_construction_counts_predicted_exactly(announce):
                     ca[sym], cb[sym], a.state_count, b.state_count
                 )
         rep = check_bound(
-            BoundId.UNION_CONSTRUCTION_EXACT, {"pairs": 200, "seed": DEFAULT_SEED}
+            "union-construction-exact", {"pairs": 200, "seed": DEFAULT_SEED}
         )
         assert rep.relation is not Relation.VIOLATION, rep
         assert "violations=0" in rep.note
@@ -166,7 +165,7 @@ def test_06_union_total_soundness_on_random_sample(announce):
     with announce(6, "union total count stays under 2*(t1*t2+t1+t2) on 200 pairs"):
         start = time.perf_counter()
         rep = check_bound(
-            BoundId.UNION_TOTAL_UPPER, {"pairs": 200, "seed": DEFAULT_SEED}
+            "union-total-upper", {"pairs": 200, "seed": DEFAULT_SEED}
         )
         assert rep.relation is not Relation.VIOLATION, rep
         assert "violations=0" in rep.note
@@ -178,7 +177,7 @@ def test_07_complete_cycle_union_bound(announce):
     with announce(7, "cycle-complete union bound met, equality exactly when coprime"):
         for n1 in range(2, 6):
             for n2 in range(n1, 6):
-                rep = check_bound(BoundId.UNION_CYCLE_UPPER, {"n1": n1, "n2": n2})
+                rep = check_bound("union-cycle-upper", {"n1": n1, "n2": n2})
                 assert rep.relation is not Relation.VIOLATION, rep
                 if math.gcd(n1, n2) == 1:
                     assert rep.relation is Relation.EQUAL, rep
@@ -189,7 +188,7 @@ def test_07_complete_cycle_union_bound(announce):
 def test_08_unary_union_tightness_with_oracle(announce):
     with announce(8, "unary union tc equals n1*n2, certified by the oracle"):
         for (n1, n2), expected in [((3, 2), 6), ((3, 4), 12), ((5, 2), 10)]:
-            rep = check_bound(BoundId.UNARY_TIGHT, {"n1": n1, "n2": n2})
+            rep = check_bound("unary-tight", {"n1": n1, "n2": n2})
             assert rep.relation is Relation.EQUAL, rep
             assert rep.measured_value == expected
             m = minimize(union_product(unary_cycle(n1), unary_cycle(n2)))
@@ -199,7 +198,7 @@ def test_08_unary_union_tightness_with_oracle(announce):
         # form, the oracle agrees with the minimizer, and any gap to the
         # stated reference n+1 is flagged rather than failed.
         for n, measured in [(2, 4), (3, 5)]:
-            rep = check_bound(BoundId.UNARY_EXCEPTION, {"n": n})
+            rep = check_bound("unary-exception", {"n": n})
             assert rep.relation is not Relation.VIOLATION, rep
             assert rep.measured_value == measured
             assert rep.measured_value > n
@@ -213,13 +212,13 @@ def test_09_intersection_tightness_and_product_law(announce):
         assert transition_counts(m).total == 6
         assert equivalent(m, unary_cycle(6))
         exact = check_bound(
-            BoundId.INTERSECTION_CONSTRUCTION_EXACT,
+            "intersection-construction-exact",
             {"pairs": 200, "seed": DEFAULT_SEED},
         )
         assert exact.relation is not Relation.VIOLATION, exact
         assert "violations=0" in exact.note
         sound = check_bound(
-            BoundId.INTERSECTION_UPPER, {"pairs": 200, "seed": DEFAULT_SEED}
+            "intersection-upper", {"pairs": 200, "seed": DEFAULT_SEED}
         )
         assert sound.relation is not Relation.VIOLATION, sound
         assert "violations=0" in sound.note
@@ -236,7 +235,7 @@ def test_10_complement_counts_and_blowup(announce):
         rep_out = complexity(comp)
         assert rep_out.tc == 10 == len(_AB) * (rep_in.tc + 2)
         assert rep_out.tc_per_symbol["a"] == 5
-        rep = check_bound(BoundId.COMPLEMENT_TIGHT, {"n": 3})
+        rep = check_bound("complement-tight", {"n": 3})
         assert rep.relation is Relation.EQUAL, rep
         # The a-count of the complement grows without bound in n even
         # though the input never uses the symbol at all.
@@ -256,7 +255,7 @@ def test_11_conjecture_counterexample_trio(announce):
         measured = complexity(union_product(eps, chain)).tc
         assert measured == 5
         assert measured > 0 * 3 + 0 + 3  # the conjectured product form
-        rep = check_bound(BoundId.CONJECTURE_SMALL, {"m": 3})
+        rep = check_bound("conjecture-small", {"m": 3})
         assert rep.relation is Relation.EQUAL, rep
         assert rep.measured_value == 5
 

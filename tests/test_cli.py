@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 import pdfa.cli
 from pdfa import parse_dfa, render_dfa, transition_counts
-from pdfa.bounds import BoundCheckReport, BoundId, Relation
+from pdfa.bounds import BoundCheckReport, Relation
 from pdfa.cli import main
 from pdfa.witnesses import WITNESS_FAMILIES, unary_cycle, union_symbol_witness
 
@@ -289,6 +290,19 @@ def test_check_single_bound_line_format(capsys):
     )
 
 
+def test_check_unknown_bound_lists_every_row_in_registration_order(capsys):
+    assert main(["check", "no-such-bound"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown bound 'no-such-bound'; known bounds: union-symbol-tight, union-symbol-max, "
+        "union-multi-tight, union-sc-tight, union-total-tight, union-cycle-upper, intersection-tight, "
+        "complement-tight, unary-tight, unary-exception, conjecture-small, union-total-upper, "
+        "union-symbol-sound, union-construction-exact, intersection-upper, "
+        "intersection-construction-exact, complement-upper\n"
+    )
+
+
 def test_check_table_format(capsys):
     rc = main(["check", "intersection-tight", "--n1", "2", "--n2", "3"])
     assert rc == 0
@@ -375,7 +389,7 @@ def test_check_exit_code_on_violation(monkeypatch, capsys):
     import pdfa.cli as cli_mod
 
     fake = BoundCheckReport(
-        BoundId.UNION_TOTAL_UPPER, {"pairs": 1}, 4, 9, Relation.VIOLATION, details="boom"
+        "union-total-upper", {"pairs": 1}, 4, 9, Relation.VIOLATION, details="boom"
     )
     monkeypatch.setattr(cli_mod, "run_suite", lambda **kw: [fake])
     assert main(["check", "--all"]) == 3
@@ -472,3 +486,29 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "alphabet a b\nstates 1\nstart 0\naccept 0\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["oracle", "verify-lemma1", "--max-states", "1", "--alphabet", "ab"],
+    ["check", "intersection-tight", "--n1", "2", "--n2", "3"],
+    ["witness", "epsilon"],
+])
+def test_closed_stdout_exits_2_without_a_traceback(argv, unbuffered):
+    # the read end is closed before the child starts, so every write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdfa.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -257,8 +257,11 @@ def test_parse_reports_truncated_input_after_its_last_line():
 
 
 def test_parse_rejects_a_table_too_long_to_index():
-    # only counts past sys.maxsize: a count that fits would allocate its table
-    for symbols, count in (("a", 10**20), ("a", sys.maxsize + 1), ("a b", sys.maxsize // 2 + 1)):
+    # only tables no allocator is asked for: past sys.maxsize slots the length
+    # cannot be indexed, and at 2**62 slots the byte size overflows Py_ssize_t,
+    # so CPython raises MemoryError before allocating
+    for symbols, count in (("a", 10**20), ("a", sys.maxsize + 1), ("a b", sys.maxsize // 2 + 1),
+                           ("a", 2**62)):
         with pytest.raises(DfaParseError) as exc:
             parse_dfa(f"alphabet {symbols}\nstates {count}\nstart 0\naccept 0\n")
         assert exc.value.line == 2
