@@ -58,7 +58,7 @@ def union_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
         for q in range(pb)
         if (p < na and p in a.accepting) or (q < nb and q in b.accepting)
     )
-    return PartialDfa.from_table(a.alphabet, pa * pb, idx(a.start, b.start), accepting, table)
+    return PartialDfa(a.alphabet, pa * pb, idx(a.start, b.start), accepting, table)
 
 
 def intersection_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
@@ -84,7 +84,7 @@ def intersection_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
         for j in range(k)
     ]
     accepting = frozenset(idx(p, q) for p in a.accepting for q in b.accepting)
-    return PartialDfa.from_table(a.alphabet, a.state_count * nb, idx(a.start, b.start), accepting, table)
+    return PartialDfa(a.alphabet, a.state_count * nb, idx(a.start, b.start), accepting, table)
 
 
 def complement(a: PartialDfa) -> PartialDfa:
@@ -99,4 +99,4 @@ def complement(a: PartialDfa) -> PartialDfa:
     sink = a.state_count
     table = [sink if t < 0 else t for t in a.table] + [sink] * len(a.alphabet)
     accepting = frozenset(q for q in range(a.state_count) if q not in a.accepting) | {sink}
-    return PartialDfa.from_table(a.alphabet, sink + 1, a.start, accepting, table)
+    return PartialDfa(a.alphabet, sink + 1, a.start, accepting, table)

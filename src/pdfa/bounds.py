@@ -219,7 +219,7 @@ def sample_connected_dfa(
             continue
         if len(_bfs_order(table, 0, k)) != n:
             continue
-        return canonicalize(PartialDfa.from_table(alphabet, n, 0, accepting, table))
+        return canonicalize(PartialDfa(alphabet, n, 0, accepting, table))
 
 
 def sample_pairs(
@@ -563,6 +563,13 @@ _suite("complement-upper", _complement_upper_pair)
 CHECK_PARAMS = tuple(dict.fromkeys(name for _body, params, _coprime in _CLAIMS.values() for name in params))
 
 
+def _int_param(name: str, value: object) -> int:
+    """``value`` itself if it is an int and not a bool, else the ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"parameter {name!r} must be an int, got {value!r}")
+    return value
+
+
 def check_bound(bound_id: str, params: Mapping[str, int] | None = None) -> BoundCheckReport:
     """Run one bound check; see the module docstring for verdict semantics.
 
@@ -582,10 +589,7 @@ def check_bound(bound_id: str, params: Mapping[str, int] | None = None) -> Bound
     p: dict[str, int] = {}
     for name, param in signature.items():
         if name in given:
-            value = given[name]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"parameter {name!r} must be an int, got {value!r}")
-            p[name] = value
+            p[name] = _int_param(name, given[name])
         elif param.default is param.empty:
             raise ValueError(f"missing required parameter {name!r}")
         else:
@@ -610,8 +614,12 @@ def run_suite(
     witness product or one seeded sample; a group's rows share one store
     (``_kept``), dropped when the group ends.
     """
+    for name, value in (("max_n", max_n), ("seed", seed), ("pairs", pairs)):
+        _int_param(name, value)
     if max_n < 3:
         raise ValueError(f"need max_n >= 3 to instantiate the tight families, got {max_n}")
+    if pairs < 1:  # checked before any row runs, not when the sampled rows come
+        raise ValueError(f"need at least one pair, got {pairs}")
     sizes = range(2, max_n + 1)
     grid = [(n1, n2) for n1 in sizes for n2 in sizes if n1 < n2 and math.gcd(n1, n2) == 1]
 

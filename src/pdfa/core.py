@@ -51,14 +51,13 @@ class Alphabet(tuple):
 class PartialDfa:
     """An incomplete DFA over ``alphabet``, stored as its flat table.
 
-    ``PartialDfa(alphabet, n, start, accepting, transitions)`` takes the
-    transitions as a ``(state, symbol) -> state`` mapping, absent keys
-    being undefined moves; :meth:`from_table` takes the table itself.
-    Both reject a malformed machine -- a start, accepting, source or
-    target state outside ``0..n-1`` or a foreign symbol -- with a
-    ValueError listing every violation, so every instance is well formed.
-    Instances are immutable and hashable: equal machines have equal
-    tables.
+    ``PartialDfa(alphabet, n, start, accepting, table)`` takes the table
+    itself (-1 = undefined) and any sequence of symbols as the alphabet,
+    which :class:`Alphabet` checks.  It rejects a malformed machine -- a
+    table of the wrong length, or a start, accepting or target state
+    outside ``0..n-1`` -- with a ValueError listing every violation, so
+    every instance is well formed.  Instances are immutable and
+    hashable: equal machines have equal tables.
     """
 
     alphabet: Alphabet
@@ -67,29 +66,11 @@ class PartialDfa:
     accepting: frozenset[int]
     table: tuple[int, ...]
 
-    def __init__(self, alphabet: Alphabet, state_count: int, start: int, accepting: Iterable[int],
-                 transitions: Mapping[tuple[int, str], int] = {}):
-        n, k = state_count, len(alphabet)
-        column = {sym: j for j, sym in enumerate(alphabet)}
-        table = [-1] * (n * k)
-        for (src, sym), dst in transitions.items():
-            j = column.get(sym)
-            if j is None or not (0 <= src < n and 0 <= dst < n):
-                moves = ((src, sym, dst) for (src, sym), dst in transitions.items())
-                raise _malformed(alphabet, n, start, accepting, moves)
-            table[src * k + j] = dst
-        self._fill(alphabet, n, start, accepting, tuple(table))
-
-    @classmethod
-    def from_table(cls, alphabet: Alphabet, state_count: int, start: int,
-                   accepting: Iterable[int], table: Iterable[int]) -> PartialDfa:
-        """The machine with flat table ``table`` (-1 = undefined)."""
-        dfa = object.__new__(cls)
-        dfa._fill(alphabet, state_count, start, accepting, tuple(table))
-        return dfa
-
-    def _fill(self, alphabet, n, start, accepting, table) -> None:
-        accepting = frozenset(accepting)
+    def __init__(self, alphabet: Iterable[str], state_count: int, start: int,
+                 accepting: Iterable[int], table: Iterable[int]):
+        if type(alphabet) is not Alphabet:
+            alphabet = Alphabet(alphabet)
+        n, accepting, table = state_count, frozenset(accepting), tuple(table)
         if len(table) != n * len(alphabet):
             raise ValueError(f"malformed DFA: table length {len(table)} is not "
                              f"{n} states times {len(alphabet)} symbols")
@@ -98,7 +79,7 @@ class PartialDfa:
             or not 0 <= start < n
             or (accepting and (min(accepting) < 0 or max(accepting) >= n))
         ):
-            raise _malformed(alphabet, n, start, accepting, _moves(alphabet, table))
+            raise _malformed(alphabet, n, start, accepting, table)
         put = object.__setattr__
         put(self, "alphabet", alphabet)
         put(self, "state_count", n)
@@ -138,9 +119,9 @@ def _moves(alphabet: Alphabet, table: tuple[int, ...]) -> Iterator[tuple[int, st
     return ((i // k, alphabet[i % k], t) for i, t in enumerate(table) if t != -1)
 
 
-def _malformed(alphabet, n, start, accepting, moves) -> ValueError:
+def _malformed(alphabet, n, start, accepting, table) -> ValueError:
     """The error for a malformed machine, listing every violation among
-    its states and its ``(src, symbol, dst)`` moves."""
+    its states and its table's ``(src, symbol, dst)`` moves."""
     bad: list[str] = []
     if n < 1:
         bad.append(f"state count must be at least 1, got {n}")
@@ -149,14 +130,9 @@ def _malformed(alphabet, n, start, accepting, moves) -> ValueError:
     for q in sorted(accepting):
         if not 0 <= q < n:
             bad.append(f"accepting state {q} out of range 0..{n - 1}")
-    for src, sym, dst in sorted(moves):
-        where = f"transition ({src}, {sym!r}) -> {dst}"
-        if sym not in alphabet:
-            bad.append(f"{where}: symbol not in alphabet")
-        if not 0 <= src < n:
-            bad.append(f"{where}: source out of range")
+    for src, sym, dst in sorted(_moves(alphabet, table)):
         if not 0 <= dst < n:
-            bad.append(f"{where}: target out of range")
+            bad.append(f"transition ({src}, {sym!r}) -> {dst}: target out of range")
     return ValueError("malformed DFA: " + "; ".join(bad))
 
 
@@ -213,7 +189,7 @@ def pair_equivalent(a: PartialDfa, b: PartialDfa) -> bool:
 
 def empty_language_dfa(alphabet: Alphabet) -> PartialDfa:
     """The canonical recognizer of the empty language: one bare state."""
-    return PartialDfa.from_table(alphabet, 1, 0, frozenset(), (-1,) * len(alphabet))
+    return PartialDfa(alphabet, 1, 0, frozenset(), (-1,) * len(alphabet))
 
 
 def transition_counts(dfa: PartialDfa) -> TransitionCounts:
@@ -318,7 +294,7 @@ def parse_dfa(text: str) -> PartialDfa:
             len(text.splitlines()) + 1, f"incomplete input: missing {headers[stage]!r} line"
         )
     assert alphabet is not None
-    return PartialDfa.from_table(alphabet, state_count, start, accepting, table)
+    return PartialDfa(alphabet, state_count, start, accepting, table)
 
 
 def render_dfa(dfa: PartialDfa) -> str:

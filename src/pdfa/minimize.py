@@ -51,7 +51,7 @@ def canonicalize(dfa: PartialDfa) -> PartialDfa:
         number[q] = i
     out = [number[t] if t >= 0 else -1 for q in order for t in table[q * k:q * k + k]]
     accepting = frozenset(number[q] for q in dfa.accepting)
-    return PartialDfa.from_table(dfa.alphabet, n, 0, accepting, out)
+    return PartialDfa(dfa.alphabet, n, 0, accepting, out)
 
 
 def _search(table: tuple[int, ...], start: int, k: int) -> tuple[list[int], list[list[list[int]]], bool]:
@@ -152,7 +152,7 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
                 reps.append(t)
             table.append(i)
     accepting = frozenset(i for i, q in enumerate(reps) if q in dfa.accepting)
-    return PartialDfa.from_table(dfa.alphabet, len(reps), 0, accepting, table)
+    return PartialDfa(dfa.alphabet, len(reps), 0, accepting, table)
 
 
 def complexity(dfa: PartialDfa) -> ComplexityReport:

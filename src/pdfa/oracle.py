@@ -45,15 +45,6 @@ def _state_limit(alphabet: Alphabet) -> int:
     return _ENUM_LIMITS[len(alphabet)]
 
 
-def _check_limits(max_states: int, alphabet: Alphabet) -> None:
-    limit = _state_limit(alphabet)
-    if max_states > limit:
-        raise ValueError(
-            f"enumeration over {len(alphabet)} symbol(s) is capped at "
-            f"{limit} states to stay at desk scale, got {max_states}"
-        )
-
-
 def _canonical_tables(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """All length-n*k transition tables (-1 = undefined) that are
     canonical and use all n states, in lexicographic order."""
@@ -92,7 +83,7 @@ def _all_dfas(max_states: int, alphabet: Alphabet) -> Iterator[PartialDfa]:
         every = accepting_sets[-1]  # a superset of each accepting set
         for table in _canonical_tables(n, k):
             # one check per table, by the constructor, covers its 2^n machines
-            checked = PartialDfa.from_table(alphabet, n, 0, every, table)
+            checked = PartialDfa(alphabet, n, 0, every, table)
             yield from checked._relabelled(accepting_sets)
 
 
@@ -118,9 +109,14 @@ def brute_min_transitions(target: PartialDfa, max_states: int = 0) -> OracleResu
     alphabet = target.alphabet
     if max_states < 0:
         raise ValueError(f"max_states must be 0 (search up to sc+1) or at least 1, got {max_states}")
-    _check_limits(max_states, alphabet)
+    limit = _state_limit(alphabet)
+    if max_states > limit:
+        raise ValueError(
+            f"enumeration over {len(alphabet)} symbol(s) is capped at "
+            f"{limit} states to stay at desk scale, got {max_states}"
+        )
     auto = max_states == 0
-    cap = _ENUM_LIMITS[len(alphabet)] if auto else max_states
+    cap = limit if auto else max_states
     min_total: int | None = None
     min_per: dict[str, int] = {}
     witness: PartialDfa | None = None
@@ -131,7 +127,12 @@ def brute_min_transitions(target: PartialDfa, max_states: int = 0) -> OracleResu
             continue
         if auto and witness is None:  # the first equivalent DFA is a minimal one
             cap = cand.state_count + 1
-            _check_limits(cap, alphabet)
+            if cap > limit:
+                raise ValueError(
+                    f"the automatic search goes one state past the language's state complexity "
+                    f"{cap - 1}, but enumeration over {len(alphabet)} symbol(s) is capped at "
+                    f"{limit} states; give max_states={limit} to search up to {limit} states only"
+                )
         counts = transition_counts(cand)
         if min_total is None or counts.total < min_total:
             min_total = counts.total

@@ -40,20 +40,24 @@ def union_multi_witness(
     """
     if n < 1:
         raise ValueError(f"cycle length must be at least 1, got {n}")
-    for d, k in k_map.items():
+    for d, loops in k_map.items():
         if d == c:
             raise ValueError(f"self-loop symbol {d!r} clashes with the cycle symbol")
-        if not 1 <= k < n:
-            raise ValueError(f"symbol {d!r}: need 1 <= k < n, got k={k}, n={n}")
+        if not 1 <= loops < n:
+            raise ValueError(f"symbol {d!r}: need 1 <= k < n, got k={loops}, n={n}")
     alphabet = alphabet or Alphabet(sorted({c, *k_map}))
     for d in (c, *k_map):
         if d not in alphabet:
             raise ValueError(f"symbol {d!r} must be in the alphabet")
-    transitions: dict[tuple[int, str], int] = {(i, c): (i + 1) % n for i in range(n)}
-    for d, k in k_map.items():
-        for i in range(k):
-            transitions[(i, d)] = i
-    return PartialDfa(alphabet, n, 0, frozenset({0}), transitions)
+    k, j = len(alphabet), alphabet.index(c)
+    table = [-1] * (n * k)
+    for i in range(n):
+        table[i * k + j] = (i + 1) % n
+    for d, loops in k_map.items():
+        j = alphabet.index(d)
+        for i in range(loops):
+            table[i * k + j] = i
+    return PartialDfa(alphabet, n, 0, frozenset({0}), table)
 
 
 def union_total_witness(
@@ -83,8 +87,11 @@ def unary_singleton(n: int, alphabet: Alphabet | None = None) -> PartialDfa:
     alphabet = alphabet or Alphabet(("b",))
     if "b" not in alphabet:
         raise ValueError("alphabet must contain 'b'")
-    transitions = {(i, "b"): i + 1 for i in range(n)}
-    return PartialDfa(alphabet, n + 1, 0, frozenset({n}), transitions)
+    k, j = len(alphabet), alphabet.index("b")
+    table = [-1] * ((n + 1) * k)
+    for i in range(n):
+        table[i * k + j] = i + 1
+    return PartialDfa(alphabet, n + 1, 0, frozenset({n}), table)
 
 
 def chain_star_witness(m: int, alphabet: Alphabet | None = None) -> PartialDfa:
@@ -98,16 +105,18 @@ def chain_star_witness(m: int, alphabet: Alphabet | None = None) -> PartialDfa:
     alphabet = alphabet or Alphabet(("a", "b"))
     if "a" not in alphabet or "b" not in alphabet:
         raise ValueError("alphabet must contain 'a' and 'b'")
-    transitions: dict[tuple[int, str], int] = {(0, "a"): 0}
+    k, a, b = len(alphabet), alphabet.index("a"), alphabet.index("b")
+    table = [-1] * (m * k)
+    table[a] = 0  # the a-loop on the start
     for i in range(m - 1):
-        transitions[(i, "b")] = i + 1
-    return PartialDfa(alphabet, m, 0, frozenset({m - 1}), transitions)
+        table[i * k + b] = i + 1
+    return PartialDfa(alphabet, m, 0, frozenset({m - 1}), table)
 
 
 def epsilon_lang(alphabet: Alphabet | None = None) -> PartialDfa:
     """Recognizer of {empty word}: one accepting state, no transitions."""
     alphabet = alphabet or Alphabet(("a", "b"))
-    return PartialDfa(alphabet, 1, 0, frozenset({0}), {})
+    return PartialDfa(alphabet, 1, 0, frozenset({0}), [-1] * len(alphabet))
 
 
 # each `pdfa witness` family by name; its constructor's signature is its

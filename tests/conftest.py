@@ -7,28 +7,24 @@ from pdfa import Alphabet, PartialDfa
 ALPHA = {1: Alphabet("a"), 2: Alphabet("ab"), 3: Alphabet("abc")}
 
 # Constructor arguments with one structural defect each, otherwise a
-# well-formed 2-state DFA over {a, b}, and the ValueError message that
-# ``PartialDfa(*args)`` must raise.
+# well-formed 2-state DFA over {a, b} with the table 0 -a-> 1, and the
+# ValueError message that ``PartialDfa(*args)`` must raise.
 MALFORMED = {
     "target-out-of-range": (
-        (ALPHA[2], 2, 0, {1}, {(0, "a"): 1, (0, "b"): 7}),
+        (ALPHA[2], 2, 0, {1}, (1, 7, -1, -1)),
         r"\(0, 'b'\) -> 7: target out of range",
     ),
-    "source-out-of-range": (
-        (ALPHA[2], 2, 0, {1}, {(0, "a"): 1, (2, "b"): 0}),
-        r"\(2, 'b'\) -> 0: source out of range",
-    ),
-    "foreign-symbol": (
-        (ALPHA[2], 2, 0, {1}, {(0, "a"): 1, (1, "z"): 0}),
-        r"\(1, 'z'\) -> 0: symbol not in alphabet",
-    ),
     "start-out-of-range": (
-        (ALPHA[2], 2, 2, {1}, {(0, "a"): 1}),
+        (ALPHA[2], 2, 2, {1}, (1, -1, -1, -1)),
         "start state 2 out of range",
     ),
     "accepting-out-of-range": (
-        (ALPHA[2], 2, 0, {5}, {(0, "a"): 1}),
+        (ALPHA[2], 2, 0, {5}, (1, -1, -1, -1)),
         "accepting state 5 out of range",
+    ),
+    "duplicate-alphabet": (
+        (["a", "a"], 2, 0, {1}, (1, -1, -1, -1)),
+        "alphabet symbols must be distinct",
     ),
 }
 
@@ -65,15 +61,10 @@ def partial_dfas(draw, max_states: int = 4, alphabet_sizes=(1, 2, 3)):
     """Arbitrary well-formed partial DFAs (not necessarily connected)."""
     alphabet = ALPHA[draw(st.sampled_from(alphabet_sizes))]
     n = draw(st.integers(1, max_states))
-    transitions = {}
-    for q in range(n):
-        for sym in alphabet:
-            target = draw(st.integers(-1, n - 1))
-            if target >= 0:
-                transitions[(q, sym)] = target
+    table = [draw(st.integers(-1, n - 1)) for _ in range(n * len(alphabet))]
     accepting = draw(st.frozensets(st.integers(0, n - 1)))
     start = draw(st.integers(0, n - 1))
-    return PartialDfa(alphabet, n, start, accepting, transitions)
+    return PartialDfa(alphabet, n, start, accepting, table)
 
 
 @st.composite
@@ -83,13 +74,8 @@ def dfa_pairs(draw, max_states: int = 3, alphabet_sizes=(1, 2)):
 
     def one():
         n = draw(st.integers(1, max_states))
-        transitions = {}
-        for q in range(n):
-            for sym in alphabet:
-                target = draw(st.integers(-1, n - 1))
-                if target >= 0:
-                    transitions[(q, sym)] = target
+        table = [draw(st.integers(-1, n - 1)) for _ in range(n * len(alphabet))]
         accepting = draw(st.frozensets(st.integers(0, n - 1)))
-        return PartialDfa(alphabet, n, draw(st.integers(0, n - 1)), accepting, transitions)
+        return PartialDfa(alphabet, n, draw(st.integers(0, n - 1)), accepting, table)
 
     return one(), one()

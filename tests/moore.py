@@ -53,18 +53,19 @@ def restrict(dfa: PartialDfa, keep: frozenset[int]) -> PartialDfa:
     step = moves(dfa)
     order = {dfa.start: 0}
     queue = [dfa.start]
-    transitions = {}
+    table = []  # the row of order[q] is the one built at q's turn in the queue
     for q in queue:
         for sym in dfa.alphabet:
             t = step.get((q, sym))
             if t is None or t not in keep:
+                table.append(-1)
                 continue
             if t not in order:
                 order[t] = len(order)
                 queue.append(t)
-            transitions[(order[q], sym)] = order[t]
+            table.append(order[t])
     accepting = frozenset(order[q] for q in dfa.accepting if q in order)
-    return PartialDfa(dfa.alphabet, len(order), 0, accepting, transitions)
+    return PartialDfa(dfa.alphabet, len(order), 0, accepting, table)
 
 
 def trim(dfa: PartialDfa) -> PartialDfa:
@@ -76,7 +77,7 @@ def trim(dfa: PartialDfa) -> PartialDfa:
     """
     keep = reachable(dfa) & coaccessible(dfa)
     if dfa.start not in keep:
-        return PartialDfa(dfa.alphabet, 1, 0, frozenset(), {})
+        return PartialDfa(dfa.alphabet, 1, 0, frozenset(), [-1] * len(dfa.alphabet))
     return restrict(dfa, keep)
 
 
@@ -86,21 +87,11 @@ def complete_with_sink(dfa: PartialDfa) -> tuple[PartialDfa, int | None]:
     Returns the completed DFA and the sink index, or ``(dfa, None)``
     unchanged when the input is already complete.
     """
-    transitions = moves(dfa)
-    missing = [
-        (q, sym)
-        for q in range(dfa.state_count)
-        for sym in dfa.alphabet
-        if (q, sym) not in transitions
-    ]
-    if not missing:
+    if -1 not in dfa.table:
         return dfa, None
     sink = dfa.state_count
-    for q, sym in missing:
-        transitions[(q, sym)] = sink
-    for sym in dfa.alphabet:
-        transitions[(sink, sym)] = sink
-    return PartialDfa(dfa.alphabet, sink + 1, dfa.start, dfa.accepting, transitions), sink
+    table = [sink if t == -1 else t for t in dfa.table] + [sink] * len(dfa.alphabet)
+    return PartialDfa(dfa.alphabet, sink + 1, dfa.start, dfa.accepting, table), sink
 
 
 def moore_minimize(dfa: PartialDfa) -> PartialDfa:
@@ -137,17 +128,16 @@ def moore_minimize(dfa: PartialDfa) -> PartialDfa:
         reps.setdefault(cls[q], q)
     live = sorted(c for c in reps if c != dead)
     index = {c: i for i, c in enumerate(live)}
-    transitions = {}
+    table = []  # the row of index[c], in order: live is sorted
     for c in live:
         for sym in complete.alphabet:
             target = cls[step[(reps[c], sym)]]
-            if target != dead:
-                transitions[(index[c], sym)] = index[target]
+            table.append(-1 if target == dead else index[target])
     quotient = PartialDfa(
         complete.alphabet,
         len(live),
         index[cls[complete.start]],
         frozenset(index[cls[q]] for q in complete.accepting),
-        transitions,
+        table,
     )
     return restrict(quotient, frozenset(range(quotient.state_count)))

@@ -119,6 +119,22 @@ def test_check_rejects_a_parameter_that_is_not_an_int(bound, params, shown):
         check_bound(bound, params)
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"max_n": 5.5}, "parameter 'max_n' must be an int, got 5.5"),
+    ({"seed": "1"}, "parameter 'seed' must be an int, got '1'"),
+    ({"pairs": True}, "parameter 'pairs' must be an int, got True"),
+    ({"pairs": 0}, "need at least one pair, got 0"),
+    ({"pairs": -3}, "need at least one pair, got -3"),
+])
+def test_run_suite_checks_its_parameters_before_any_row_runs(params, message, monkeypatch):
+    rows = []
+    monkeypatch.setattr(pdfa.bounds, "check_bound", lambda *args: rows.append(args))
+    with pytest.raises(ValueError) as exc:
+        run_suite(**params)
+    assert str(exc.value) == message
+    assert rows == []
+
+
 def test_check_fills_defaults_from_the_claim_table():
     rep = check_bound("union-total-upper", {"pairs": 3})
     assert rep.params == {"pairs": 3, "seed": 12345, "max_states": 4}

@@ -353,6 +353,15 @@ def test_check_takes_max_n_only_with_all(bound, capsys):
     assert captured.err == "error: --max-n is taken only with --all\n"
 
 
+def test_check_all_rejects_no_pairs_before_any_row_runs(monkeypatch, capsys):
+    rows = []
+    monkeypatch.setattr(pdfa.bounds, "check_bound", lambda *args: rows.append(args))
+    assert main(["check", "--all", "--max-n", "11", "--pairs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: need at least one pair, got 0\n")
+    assert rows == []
+
+
 def test_check_requires_bound_or_all(capsys):
     assert main(["check"]) == 2
     assert "--all" in capsys.readouterr().err
@@ -410,6 +419,22 @@ def test_oracle_min_transitions_rejects_small_cap(witness_file, capsys):
     path = witness_file(union_symbol_witness(3, 1))
     assert main(["oracle", "min-transitions", path, "--max-states", "2"]) == 2
     assert "state complexity" in capsys.readouterr().err
+
+
+def test_oracle_min_transitions_auto_mode_names_the_cap_to_give(tmp_path, capsys):
+    # sc = 4 over {a, b}: one state past it is beyond the 4-state enumeration cap
+    chain = tmp_path / "chain.pdfa"
+    chain.write_text("alphabet a b\nstates 4\nstart 0\naccept 3\n0 a 1\n1 a 2\n2 a 3\n", encoding="utf-8")
+    assert main(["oracle", "min-transitions", str(chain)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the automatic search goes one state past the language's state complexity 4, but "
+        "enumeration over 2 symbol(s) is capped at 4 states; give max_states=4 to search up to "
+        "4 states only\n"
+    )
+    assert main(["oracle", "min-transitions", str(chain), "--max-states", "4"]) == 0
+    assert capsys.readouterr().out == "min_total=3\nmin[a]=3\nmin[b]=0\n"
 
 
 @pytest.mark.parametrize("max_states", ["-3", "-1"])

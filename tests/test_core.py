@@ -13,6 +13,7 @@ from pdfa import (
     render_dfa,
     render_dot,
     transition_counts,
+    union_product,
 )
 from pdfa.witnesses import union_symbol_witness, unary_singleton
 
@@ -56,26 +57,27 @@ def test_alphabet_iteration_order():
 
 def test_validate_clean_dfa():
     d = union_symbol_witness(3, 1)
-    assert PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, moves(d)) == d
-    assert PartialDfa.from_table(d.alphabet, d.state_count, d.start, d.accepting, d.table) == d
+    assert PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, d.table) == d
+
+
+@pytest.mark.parametrize("symbols", ["ab", ("a", "b"), ["a", "b"]])
+def test_an_alphabet_given_as_a_sequence_is_the_alphabet_of_its_symbols(symbols):
+    d = PartialDfa(symbols, 2, 0, {1}, (1, 0, -1, -1))
+    same = PartialDfa(Alphabet("ab"), 2, 0, {1}, (1, 0, -1, -1))
+    assert type(d.alphabet) is Alphabet
+    assert d == same and hash(d) == hash(same)
+    assert union_product(d, same) == union_product(same, same)
 
 
 def test_validate_collects_every_violation():
-    args = (
-        Alphabet("ab"),
-        2,
-        5,
-        frozenset({0, 9}),
-        {(0, "a"): 7, (1, "z"): 0, (4, "b"): 1},
-    )
-    with pytest.raises(ValueError, match="^malformed DFA: ") as exc:
+    args = (Alphabet("ab"), 2, 5, frozenset({0, 9}), (7, -1, -1, -2))
+    with pytest.raises(ValueError) as exc:
         PartialDfa(*args)
     text = str(exc.value)
-    assert "start" in text
-    assert "9" in text  # accepting state out of range
-    assert "7" in text  # target out of range
-    assert "z" in text  # symbol not in alphabet
-    assert "4" in text  # source out of range
+    assert text == (
+        "malformed DFA: start state 5 out of range 0..1; accepting state 9 out of range 0..1; "
+        "transition (0, 'a') -> 7: target out of range; transition (1, 'b') -> -2: target out of range"
+    )
     # Deterministic ordering: a second run produces the same message.
     with pytest.raises(ValueError) as again:
         PartialDfa(*args)
@@ -93,17 +95,16 @@ def test_validate_collects_every_violation():
     ],
     ids=["length", "target-too-large", "entry-below-minus-one", "start", "accepting"],
 )
-def test_from_table_rejects_a_malformed_table(table, start, accepting, message):
+def test_the_constructor_rejects_a_malformed_table(table, start, accepting, message):
     with pytest.raises(ValueError, match=message):
-        PartialDfa.from_table(Alphabet("ab"), 2, start, accepting, table)
+        PartialDfa(Alphabet("ab"), 2, start, accepting, table)
 
 
 @given(partial_dfas())
 def test_table_agrees_with_its_dict_view(d):
     step = moves(d)
-    again = PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, step)
+    again = parse_dfa(render_dfa(d))
     assert again == d and hash(again) == hash(d)
-    assert parse_dfa(render_dfa(d)) == d
     cells = [(q, sym) for q in range(d.state_count) for sym in d.alphabet]
     assert [t if t >= 0 else None for t in d.table] == [step.get(cell) for cell in cells]
     assert d.is_complete() == all(cell in step for cell in cells)
@@ -128,25 +129,13 @@ def test_accepts_walks_partial_table():
 
 def test_reachable_and_coaccessible():
     # 0 -a-> 1, state 2 unreachable, state 1 is a trap (no way to accept from it).
-    d = PartialDfa(
-        Alphabet("a"),
-        3,
-        0,
-        frozenset({0}),
-        {(0, "a"): 1, (2, "a"): 0},
-    )
+    d = PartialDfa(Alphabet("a"), 3, 0, frozenset({0}), (1, -1, 0))
     assert reachable(d) == frozenset({0, 1})
     assert coaccessible(d) == frozenset({0, 2})
 
 
 def test_trim_drops_useless_states():
-    d = PartialDfa(
-        Alphabet("a"),
-        3,
-        0,
-        frozenset({0}),
-        {(0, "a"): 1, (2, "a"): 0},
-    )
+    d = PartialDfa(Alphabet("a"), 3, 0, frozenset({0}), (1, -1, 0))
     t = trim(d)
     assert t.state_count == 1
     assert moves(t) == {}
@@ -154,7 +143,7 @@ def test_trim_drops_useless_states():
 
 
 def test_trim_of_empty_language_is_single_bare_state():
-    d = PartialDfa(Alphabet("ab"), 3, 0, frozenset(), {(0, "a"): 1, (1, "b"): 2})
+    d = PartialDfa(Alphabet("ab"), 3, 0, frozenset(), (1, -1, -1, 2, -1, -1))
     t = trim(d)
     assert t == empty_language_dfa(d.alphabet)
     assert t.state_count == 1
@@ -241,6 +230,26 @@ def test_parse_rejects_unknown_symbol():
     assert exc.value.line == 5
 
 
+@pytest.mark.parametrize(
+    "lines, line, message",
+    [
+        (["start 2", "accept 1"], 3, "start state 2 out of range 0..1"),
+        (["start 0", "accept 1 2"], 4, "accepting state 2 out of range 0..1"),
+        (["start 0", "accept 1", "0 a 1", "2 b 0"], 6, "source state 2 out of range 0..1"),
+        (["start 0", "accept 1", "0 a 1", "-1 a 0"], 6, "source state -1 out of range 0..1"),
+        (["start 0", "accept 1", "0 a 1", "1 b 2"], 6, "target state 2 out of range 0..1"),
+        (["start 0", "accept 1", "0 a 1", "1 z 0"], 6, "symbol 'z' not in alphabet"),
+    ],
+    ids=["start", "accepting", "source", "negative-source", "target", "foreign-symbol"],
+)
+def test_parse_rejects_a_state_or_symbol_out_of_range_at_its_line(lines, line, message):
+    # the text entry point's own checks: a table has no slot for a bad source or symbol
+    with pytest.raises(DfaParseError) as exc:
+        parse_dfa("\n".join(["alphabet a b", "states 2", *lines]) + "\n")
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_parse_rejects_missing_header():
     with pytest.raises(DfaParseError):
         parse_dfa("alphabet a b\nstart 0\naccept 0\n")
@@ -291,7 +300,7 @@ def test_render_dot_marks_accepting_and_start():
 
 
 def test_render_dot_escapes_quote_and_backslash_labels():
-    d = PartialDfa(Alphabet('a"\\'), 1, 0, {0}, {(0, "a"): 0, (0, '"'): 0, (0, "\\"): 0})
+    d = PartialDfa(Alphabet('a"\\'), 1, 0, {0}, (0, 0, 0))
     edges = [line for line in render_dot(d).splitlines() if "[label=" in line]
     # an ordinary symbol is written as it is; a quote and a backslash are escaped
     assert edges == [r'  0 -> 0 [label="a"];', r'  0 -> 0 [label="\""];', r'  0 -> 0 [label="\\"];']

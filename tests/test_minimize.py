@@ -56,20 +56,14 @@ def test_minimize_fixed_point_on_witness():
 
 
 def test_minimize_collapses_to_empty_language():
-    d = PartialDfa(Alphabet("ab"), 4, 0, frozenset(), {(0, "a"): 1, (1, "b"): 2})
+    d = PartialDfa(Alphabet("ab"), 4, 0, frozenset(), (1, -1, -1, 2, -1, -1, -1, -1))
     m = minimize(d)
     assert m == empty_language_dfa(d.alphabet)
 
 
 def test_minimize_merges_equivalent_states():
     # Two interchangeable accepting tails for the same singleton language.
-    d = PartialDfa(
-        Alphabet("b"),
-        4,
-        0,
-        frozenset({2, 3}),
-        {(0, "b"): 1, (1, "b"): 2, (3, "b"): 3},
-    )
+    d = PartialDfa(Alphabet("b"), 4, 0, frozenset({2, 3}), (1, 2, -1, 3))
     m = minimize(d)
     assert m == unary_singleton(2)
 
@@ -136,13 +130,7 @@ def test_complexity_invariants(d):
 
 
 def test_equivalent_ignores_presentation():
-    d = PartialDfa(
-        Alphabet("a"),
-        3,
-        0,
-        frozenset({0}),
-        {(0, "a"): 1, (2, "a"): 0},
-    )
+    d = PartialDfa(Alphabet("a"), 3, 0, frozenset({0}), (1, -1, 0))
     assert equivalent(d, trim(d))
     assert pair_equivalent(d, trim(d))
 
@@ -185,21 +173,14 @@ def test_canonicalize_fixed_point():
 
 def test_canonicalize_erases_state_labels():
     d = unary_singleton(2)
-    perm = {0: 2, 1: 0, 2: 1}
-    relabeled = PartialDfa(
-        d.alphabet,
-        3,
-        perm[0],
-        frozenset(perm[q] for q in d.accepting),
-        {(perm[q], s): perm[t] for (q, s), t in moves(d).items()},
-    )
+    relabeled = PartialDfa(d.alphabet, 3, 2, {1}, (1, -1, 0))  # d's states 0, 1, 2 named 2, 0, 1
     assert relabeled != d
     assert canonicalize(relabeled) == d
     assert render_dfa(canonicalize(relabeled)) == render_dfa(d)
 
 
 def test_canonicalize_requires_connected_input():
-    d = PartialDfa(Alphabet("a"), 2, 0, frozenset({0}), {})
+    d = PartialDfa(Alphabet("a"), 2, 0, frozenset({0}), (-1, -1))
     with pytest.raises(ValueError):
         canonicalize(d)
 
@@ -228,9 +209,12 @@ def disagreements(minimizer, dfas) -> list[PartialDfa]:
 def _relabeled(d: PartialDfa) -> PartialDfa:
     """``d`` with the states after its start numbered in reverse, which
     leaves a canonically numbered machine of 3 or more states not canonical."""
-    n = d.state_count
+    n, k = d.state_count, len(d.alphabet)
     perm = [0, *range(n - 1, 0, -1)]
-    relabeled = {(perm[q], sym): perm[t] for (q, sym), t in moves(d).items()}
+    relabeled = [-1] * (n * k)
+    for i, t in enumerate(d.table):
+        if t >= 0:
+            relabeled[perm[i // k] * k + i % k] = perm[t]
     return PartialDfa(d.alphabet, n, 0, {perm[q] for q in d.accepting}, relabeled)
 
 
@@ -277,8 +261,8 @@ def test_minimize_keeps_machines_on_one_table_apart():
         (a, 4, 0, {1}, grid), (ab, 2, 0, {1}, grid), (a, 4, 2, {1}, grid), fresh(),
         (ab, 2, 0, {1}, grid), (a, 4, 0, {1}, grid), fresh(), *on_chain(2), fresh(),
     ]
-    machines = [PartialDfa.from_table(*spec) for spec in stream]
-    expected = [minimize(PartialDfa.from_table(*spec[:4], tuple(list(spec[4])))) for spec in stream]
+    machines = [PartialDfa(*spec) for spec in stream]
+    expected = [minimize(PartialDfa(*spec[:4], tuple(list(spec[4])))) for spec in stream]
     assert [moore_minimize(d) for d in machines] == expected
     assert [minimize(d) for d in machines] == expected  # one after another, tables shared
     assert [minimize(d, _search(d.table, d.start, len(d.alphabet))) for d in machines] == expected
@@ -328,10 +312,13 @@ def _one_wrong_merge(d: PartialDfa, search=None) -> PartialDfa:
     def fold(q: int) -> int:
         return last - 1 if q == last else q
 
-    transitions: dict[tuple[int, str], int] = {}
-    for (q, sym), t in sorted(moves(m).items()):
-        transitions.setdefault((fold(q), sym), fold(t))
-    return canonicalize(PartialDfa(m.alphabet, last, 0, frozenset(map(fold, m.accepting)), transitions))
+    k = len(m.alphabet)
+    table = [-1] * (last * k)
+    for i, t in enumerate(m.table):  # row last - 1 comes first and keeps its moves
+        slot = fold(i // k) * k + i % k
+        if t >= 0 and table[slot] == -1:
+            table[slot] = fold(t)
+    return canonicalize(PartialDfa(m.alphabet, last, 0, frozenset(map(fold, m.accepting)), table))
 
 
 def _returns_input_when_nothing_merges(d: PartialDfa) -> PartialDfa:

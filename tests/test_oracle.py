@@ -32,7 +32,6 @@ from pdfa.oracle import (
 )
 from pdfa.witnesses import epsilon_lang, unary_singleton, union_symbol_witness
 
-from conftest import moves
 from moore import reachable
 from test_minimize import _never_merges, _one_wrong_merge
 
@@ -46,14 +45,10 @@ def naive_class_renderings(max_states: int, alphabet: Alphabet) -> set[str]:
     """
     out = set()
     for n in range(1, max_states + 1):
-        slots = [(q, sym) for q in range(n) for sym in alphabet]
-        for targets in itertools.product(range(-1, n), repeat=len(slots)):
-            transitions = {
-                slot: t for slot, t in zip(slots, targets) if t >= 0
-            }
+        for table in itertools.product(range(-1, n), repeat=n * len(alphabet)):
             for bits in range(1 << n):
                 accepting = frozenset(q for q in range(n) if bits >> q & 1)
-                d = PartialDfa(alphabet, n, 0, accepting, transitions)
+                d = PartialDfa(alphabet, n, 0, accepting, table)
                 if reachable(d) == frozenset(range(n)):
                     out.add(render_dfa(canonicalize(d)))
     return out
@@ -86,7 +81,6 @@ def test_enumeration_matches_naive_search_binary():
 
 def test_enumerated_dfas_are_canonical_and_valid():
     for d in _all_dfas(2, Alphabet("ab")):
-        assert PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, moves(d)) == d
         assert reachable(d) == frozenset(range(d.state_count))
         assert canonicalize(d) == d
         assert d.start == 0
@@ -95,7 +89,7 @@ def test_enumerated_dfas_are_canonical_and_valid():
     for max_states, symbols in ((3, "ab"), (6, "b"), (2, "abc")):
         for d in _all_dfas(max_states, Alphabet(symbols)):
             fields = (d.alphabet, d.state_count, d.start, d.accepting, d.table)
-            assert PartialDfa.from_table(*fields) == d
+            assert PartialDfa(*fields) == d
 
 
 def test_enumeration_is_deterministic_and_size_ordered():
@@ -232,8 +226,13 @@ def test_brute_min_does_not_trust_the_minimizer(monkeypatch):
 
 def test_brute_min_rejects_a_language_past_the_enumeration_cap():
     # sc = 4 over {b, c}: auto mode would need 5 states, past the 4-state cap
-    with pytest.raises(ValueError, match="capped at 4 states"):
+    with pytest.raises(ValueError) as exc:
         brute_min_transitions(union_symbol_witness(4, 1))
+    assert str(exc.value) == (
+        "the automatic search goes one state past the language's state complexity 4, but "
+        "enumeration over 2 symbol(s) is capped at 4 states; give max_states=4 to search up to "
+        "4 states only"
+    )
 
 
 def test_per_symbol_minima_can_beat_any_single_machine():
@@ -353,7 +352,7 @@ def test_lemma1_bookkeeping_does_not_depend_on_table_identity(monkeypatch):
     def fresh_tables(max_states, alphabet):
         assert max_states == 3
         for d in stream:
-            yield PartialDfa.from_table(d.alphabet, d.state_count, d.start, d.accepting, list(d.table))
+            yield PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, list(d.table))
 
     monkeypatch.setattr(oracle_mod, "_all_dfas", fresh_tables)
     report = oracle_mod.verify_lemma1(2, alphabet)

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from pdfa import Alphabet, PartialDfa, complexity, minimize
+from pdfa import Alphabet, complexity, minimize, parse_dfa, render_dfa
 from pdfa.witnesses import (
     chain_star_witness,
     epsilon_lang,
@@ -13,7 +13,7 @@ from pdfa.witnesses import (
     union_total_witness,
 )
 
-from conftest import accepts, moves, words
+from conftest import accepts, words
 
 
 def _matches(dfa, pattern, max_len=9):
@@ -150,5 +150,5 @@ def test_all_witnesses_pass_validation():
         epsilon_lang(),
     ]
     for d in samples:
-        assert PartialDfa(d.alphabet, d.state_count, d.start, d.accepting, moves(d)) == d
+        assert parse_dfa(render_dfa(d)) == d  # the text entry point's checks accept it too
         assert minimize(d) == d  # every family builds its own minimal DFA
