@@ -12,6 +12,7 @@ from .core import (
     PartialDfa,
     TransitionCounts,
     empty_language_dfa,
+    pair_equivalent,
     parse_dfa,
     render_dfa,
     render_dot,
@@ -23,7 +24,6 @@ from .minimize import (
     complexity,
     equivalent,
     minimize,
-    pair_equivalent,
 )
 from .oracle import (
     Lemma1Report,

@@ -13,10 +13,12 @@ that is not EQUAL, or has a note, is flagged and renders its machines):
 * ``VIOLATION`` -- an upper bound is exceeded, or a claimed-tight
   equality does not hold.
 
-Measured tc/sc values always come from ``minimize``; raw construction
-counts are only compared where the claim is about the construction
-itself (the per-symbol union prediction and the intersection product
-law).
+Measured tc/sc values always come from the minimal DFA: a witness row
+takes them from ``complexity()``, which also returns the machine it
+renders, and a sampled row counts the moves of ``minimize``'s output.
+Raw construction counts are only compared where the claim is about the
+construction itself (the per-symbol union prediction and the
+intersection product law).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 
 from .boolean import complement, intersection_product, union_product
 from .core import Alphabet, PartialDfa, _bfs_order, render_dfa, transition_counts
-from .minimize import canonicalize, complexity, minimize
+from .minimize import ComplexityReport, canonicalize, complexity, minimize
 from .oracle import brute_min_transitions
 from .witnesses import (
     chain_star_witness,
@@ -295,24 +297,18 @@ def _kept(key, compute: Callable):
     return value
 
 
-def _measured(dfa: PartialDfa) -> tuple[PartialDfa, int, dict[str, int]]:
-    m = minimize(dfa)
-    counts = transition_counts(m)
-    return m, counts.total, dict(counts.per_symbol)
-
-
-def _symbol_witness_union(n1: int, n2: int, k1: int, k2: int) -> tuple[PartialDfa, int, dict[str, int]]:
+def _symbol_witness_union(n1: int, n2: int, k1: int, k2: int) -> ComplexityReport:
     """The measured union of two symbol witnesses; measured once for the rows
     of a group that take it (union-symbol-tight, -max and union-sc-tight)."""
-    return _kept(("symbol", n1, n2, k1, k2), lambda: _measured(union_product(
+    return _kept(("symbol", n1, n2, k1, k2), lambda: complexity(union_product(
         union_symbol_witness(n1, k1, alphabet=_BC), union_symbol_witness(n2, k2, alphabet=_BC))))
 
 
 @_claim("union-symbol-tight", coprime=True)
 def _union_symbol_tight(n1: int, n2: int, k1: int = 1, k2: int = 1) -> Outcome:
-    m, _total, per = _symbol_witness_union(n1, n2, k1, k2)
+    r = _symbol_witness_union(n1, n2, k1, k2)
     formula = union_symbol_upper(k1, k2, n1, n2)
-    return formula, per["b"], _relation(per["b"], formula), "", (m,)
+    return formula, r.tc_per_symbol["b"], _relation(r.tc_per_symbol["b"], formula), "", (r.minimal,)
 
 
 @_claim("union-symbol-max", coprime=True)
@@ -325,24 +321,24 @@ def _union_multi_tight(n1: int, n2: int, ka1: int = 1, kb1=lambda p: max(1, p["n
                        ka2: int = 1, kb2=lambda p: max(1, p["n2"] - 1)) -> Outcome:
     w1 = union_multi_witness(n1, {"a": ka1, "b": kb1}, alphabet=_ABC)
     w2 = union_multi_witness(n2, {"a": ka2, "b": kb2}, alphabet=_ABC)
-    m, _total, per = _measured(union_product(w1, w2))
+    r = complexity(union_product(w1, w2))
     expected = {"a": union_symbol_upper(ka1, ka2, n1, n2), "b": union_symbol_upper(kb1, kb2, n1, n2)}
-    mismatches = [sym for sym in expected if per[sym] != expected[sym]]
+    mismatches = [sym for sym in expected if r.tc_per_symbol[sym] != expected[sym]]
     formula = sum(expected.values())
-    measured = per["a"] + per["b"]
+    measured = r.tc_per_symbol["a"] + r.tc_per_symbol["b"]
     note = f"per-symbol mismatch on {', '.join(mismatches)}" if mismatches else ""
-    return formula, measured, _relation(measured, formula, failed=bool(mismatches)), note, (m,)
+    return formula, measured, _relation(measured, formula, failed=bool(mismatches)), note, (r.minimal,)
 
 
 @_claim("union-sc-tight", coprime=True)
 def _union_sc_tight(n1: int, n2: int, k1: int = 1, k2: int = 1) -> Outcome:
-    m, _total, _per = _symbol_witness_union(n1, n2, k1, k2)
+    r = _symbol_witness_union(n1, n2, k1, k2)
     formula = union_state_upper(n1, n2)
-    return formula, m.state_count, _relation(m.state_count, formula), "", (m,)
+    return formula, r.sc, _relation(r.sc, formula), "", (r.minimal,)
 
 
-def _union_total_pair(n1: int, n2: int) -> tuple[int, int, PartialDfa, int]:
-    """tc of both minimal-total witnesses, and the minimized union with its tc;
+def _union_total_pair(n1: int, n2: int) -> tuple[int, int, ComplexityReport]:
+    """tc of both minimal-total witnesses, and the measured union;
     measured once for the rows of a group that take it (union-total-tight and
     union-cycle-upper)."""
 
@@ -351,36 +347,35 @@ def _union_total_pair(n1: int, n2: int) -> tuple[int, int, PartialDfa, int]:
         w2 = union_total_witness(n2, "b", "c", alphabet=_ABC)
         t1 = complexity(w1).tc
         t2 = complexity(w2).tc
-        m, measured, _per = _measured(union_product(w1, w2))
-        return t1, t2, m, measured
+        return t1, t2, complexity(union_product(w1, w2))
 
     return _kept(("total", n1, n2), measure)
 
 
 @_claim("union-total-tight", coprime=True)
 def _union_total_tight(n1: int, n2: int) -> Outcome:
-    t1, t2, m, measured = _union_total_pair(n1, n2)
+    t1, t2, r = _union_total_pair(n1, n2)
     formula = union_total_lower(t1, t2)
     premise = (t1, t2) == (n1 + 1, n2 + 1)
     note = "" if premise else f"witness premise failed: tc inputs ({t1}, {t2}) != ({n1 + 1}, {n2 + 1})"
-    return formula, measured, _relation(measured, formula, failed=not premise), note, (m,)
+    return formula, r.tc, _relation(r.tc, formula, failed=not premise), note, (r.minimal,)
 
 
 @_claim("union-cycle-upper")
 def _union_cycle_upper(n1: int, n2: int) -> Outcome:
-    t1, t2, m, measured = _union_total_pair(n1, n2)
+    t1, t2, r = _union_total_pair(n1, n2)
     formula = union_total_lower(t1, t2)
     # an upper bound in general, claimed tight on coprime pairs
     coprime = math.gcd(n1, n2) == 1
-    note = "coprime pair did not reach the bound claimed tight" if coprime and measured != formula else ""
-    return formula, measured, _relation(measured, formula, tight=coprime), note, (m,)
+    note = "coprime pair did not reach the bound claimed tight" if coprime and r.tc != formula else ""
+    return formula, r.tc, _relation(r.tc, formula, tight=coprime), note, (r.minimal,)
 
 
 @_claim("intersection-tight", coprime=True)
 def _intersection_tight(n1: int, n2: int) -> Outcome:
-    m, measured, _per = _measured(intersection_product(unary_cycle(n1), unary_cycle(n2)))
+    r = complexity(intersection_product(unary_cycle(n1), unary_cycle(n2)))
     formula = intersection_upper(n1, n2)
-    return formula, measured, _relation(measured, formula), "", (m,)
+    return formula, r.tc, _relation(r.tc, formula), "", (r.minimal,)
 
 
 @_claim("complement-tight")
@@ -389,10 +384,10 @@ def _complement_tight(n: int, sigma: int = 2) -> Outcome:
         raise ValueError(f"sigma must be 1..3, got {sigma}")
     w = unary_singleton(n, alphabet=Alphabet("abc"[:sigma]))
     t = complexity(w).tc
-    m, measured, _per = _measured(complement(w))
+    r = complexity(complement(w))
     formula = complement_upper(sigma, t)
     note = "" if t == n else f"witness premise failed: tc of the singleton is {t}, expected {n}"
-    return formula, measured, _relation(measured, formula, failed=t != n), note, (m,)
+    return formula, r.tc, _relation(r.tc, formula, failed=t != n), note, (r.minimal,)
 
 
 @_claim("unary-tight", coprime=True)
@@ -405,60 +400,58 @@ def _unary_tight(n1: int, n2: int) -> Outcome:
     w2 = unary_cycle(n2)
     t1 = complexity(w1).tc
     t2 = complexity(w2).tc
-    m, measured, _per = _measured(union_product(w1, w2))
+    r = complexity(union_product(w1, w2))
     formula = unary_union_upper(t1, t2)
-    return formula, measured, _relation(measured, formula), "", (m,)
+    return formula, r.tc, _relation(r.tc, formula), "", (r.minimal,)
 
 
 @_claim("unary-exception")
 def _unary_exception(n: int) -> Outcome:
     if n < 2:
         raise ValueError(f"the exception probe needs n >= 2, got {n}")
-    m, measured, _per = _measured(union_product(unary_singleton(1), unary_cycle(n)))
-    oracle = brute_min_transitions(m)
+    r = complexity(union_product(unary_singleton(1), unary_cycle(n)))
+    oracle = brute_min_transitions(r.minimal)
     reference = n + 1
     # not an upper bound: exceeding n is the claim, missing n+1 is only flagged
-    if oracle.min_total != measured:
+    if oracle.min_total != r.tc:
         relation = Relation.VIOLATION
-        note = f"minimizer ({measured}) and brute-force oracle ({oracle.min_total}) disagree"
-    elif measured <= n:
+        note = f"minimizer ({r.tc}) and brute-force oracle ({oracle.min_total}) disagree"
+    elif r.tc <= n:
         relation = Relation.VIOLATION
         note = f"union of b and (b^{n})* did not exceed the product bound {n}"
-    elif measured == reference:
+    elif r.tc == reference:
         relation = Relation.EQUAL
         note = ""
     else:
         relation = Relation.WITHIN_BOUND
         note = (
-            f"measured tc {measured} (oracle-certified) differs from the stated "
+            f"measured tc {r.tc} (oracle-certified) differs from the stated "
             f"reference value n+1 = {reference}; it does exceed the product bound {n} "
             "as claimed -- flagged, not failed"
         )
-    return reference, measured, relation, note, (m,)
+    return reference, r.tc, relation, note, (r.minimal,)
 
 
 @_claim("conjecture-small")
 def _conjecture_small(m: int) -> Outcome:
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
     eps = epsilon_lang(alphabet=_AB)
     chain = chain_star_witness(m, alphabet=_AB)
     t_eps = complexity(eps).tc
     t_chain = complexity(chain).tc
-    mdfa, measured, _per = _measured(union_product(eps, chain))
+    r = complexity(union_product(eps, chain))
     expected = m + 2 if m >= 2 else 1  # m = 1: a* union {eps} is just a*
     conjectured = union_state_upper(t_eps, t_chain)
     premise = t_eps == 0 and t_chain == m
-    if not premise or measured != expected:
-        note = f"expected trio (0, {m}, {expected}), measured ({t_eps}, {t_chain}, {measured})"
-    elif measured > conjectured:
+    if not premise or r.tc != expected:
+        note = f"expected trio (0, {m}, {expected}), measured ({t_eps}, {t_chain}, {r.tc})"
+    elif r.tc > conjectured:
         note = (
-            f"counterexample holds: measured {measured} exceeds the conjectured "
+            f"counterexample holds: measured {r.tc} exceeds the conjectured "
             f"bound {conjectured}, whose applicability needs tc >= 2 on both sides"
         )
     else:
         note = f"conjectured bound {conjectured} not exceeded at m={m}"
-    return expected, measured, _relation(measured, expected, failed=not premise), note, (mdfa,)
+    return expected, r.tc, _relation(r.tc, expected, failed=not premise), note, (r.minimal,)
 
 
 # --- seeded random suites ---------------------------------------------------

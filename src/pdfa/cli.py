@@ -26,7 +26,7 @@ from .bounds import (
     run_suite,
 )
 from .core import Alphabet, PartialDfa, parse_dfa, render_dfa, render_dot, transition_counts
-from .minimize import _measures, equivalent, minimize
+from .minimize import complexity, equivalent, minimize
 from .oracle import brute_min_transitions, verify_lemma1
 from .witnesses import WITNESS_FAMILIES
 
@@ -59,15 +59,13 @@ def _counts_line(label: str, dfa: PartialDfa) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     dfa = _load(args.file)
-    minimal = minimize(dfa)
-    report = _measures(minimal)
+    report = complexity(dfa)
     print(f"sc={report.sc}")
     print(f"tc={report.tc}")
     for sym in dfa.alphabet:
         print(f"tc[{sym}]={report.tc_per_symbol[sym]}")
     print(f"classes={report.nerode_classes}")
-    if args.dot:
-        _write(args.dot, render_dot, minimal)
+    _write(args.dot, render_dot, report.minimal)
     return 0
 
 

@@ -192,6 +192,15 @@ def empty_language_dfa(alphabet: Alphabet) -> PartialDfa:
     return PartialDfa(alphabet, 1, 0, frozenset(), (-1,) * len(alphabet))
 
 
+def _undefined_table(n: int, k: int) -> list[int]:
+    """The table of ``n`` states over ``k`` symbols with every move
+    undefined; a ValueError when it is too long to index or to hold."""
+    try:
+        return [-1] * (n * k)
+    except (OverflowError, MemoryError):
+        raise ValueError(f"state count {n} is too large") from None
+
+
 def transition_counts(dfa: PartialDfa) -> TransitionCounts:
     """Count the defined transitions, in total and per symbol."""
     k, n, table = len(dfa.alphabet), dfa.state_count, dfa.table
@@ -252,10 +261,10 @@ def parse_dfa(text: str) -> PartialDfa:
                 state_count = want_int(tokens[1], lineno, "state count")
                 if state_count < 1:
                     raise DfaParseError(lineno, f"state count must be at least 1, got {state_count}")
-                try:  # a table too long to index or to hold
-                    table = [-1] * (state_count * len(alphabet))
-                except (OverflowError, MemoryError):
-                    raise DfaParseError(lineno, f"state count {state_count} is too large") from None
+                try:
+                    table = _undefined_table(state_count, len(alphabet))
+                except ValueError as exc:
+                    raise DfaParseError(lineno, str(exc)) from None
             elif expected == "start":
                 if len(tokens) != 2:
                     raise DfaParseError(lineno, "start line takes exactly one state")

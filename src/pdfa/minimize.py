@@ -19,7 +19,7 @@ from .core import PartialDfa, _bfs_order, empty_language_dfa, pair_equivalent, t
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    """Language measures read off the minimal partial DFA.
+    """Language measures read off ``minimal``, the minimal partial DFA.
 
     ``nerode_classes`` counts right-congruence classes including the
     dead class when the minimal partial DFA has one, i.e. it is
@@ -30,6 +30,7 @@ class ComplexityReport:
     tc: int
     tc_per_symbol: Mapping[str, int]
     nerode_classes: int
+    minimal: PartialDfa
 
 
 def canonicalize(dfa: PartialDfa) -> PartialDfa:
@@ -156,12 +157,9 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
 
 
 def complexity(dfa: PartialDfa) -> ComplexityReport:
-    """State/transition complexity of the language ``dfa`` recognizes."""
-    return _measures(minimize(dfa))
-
-
-def _measures(m: PartialDfa) -> ComplexityReport:
-    """The complexity report read off ``m``, a minimal partial DFA."""
+    """State/transition complexity of the language ``dfa`` recognizes,
+    with the minimal partial DFA it is read off."""
+    m = minimize(dfa)
     counts = transition_counts(m)
     # One extra class -- the dead class -- exists whenever the minimal
     # partial DFA leaves some move undefined.
@@ -169,8 +167,9 @@ def _measures(m: PartialDfa) -> ComplexityReport:
     return ComplexityReport(
         sc=m.state_count,
         tc=counts.total,
-        tc_per_symbol=dict(counts.per_symbol),
+        tc_per_symbol=counts.per_symbol,
         nerode_classes=classes,
+        minimal=m,
     )
 
 

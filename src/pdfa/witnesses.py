@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from .core import Alphabet, PartialDfa
+from .core import Alphabet, PartialDfa, _undefined_table
 
 
 def union_symbol_witness(
@@ -50,7 +50,7 @@ def union_multi_witness(
         if d not in alphabet:
             raise ValueError(f"symbol {d!r} must be in the alphabet")
     k, j = len(alphabet), alphabet.index(c)
-    table = [-1] * (n * k)
+    table = _undefined_table(n, k)
     for i in range(n):
         table[i * k + j] = (i + 1) % n
     for d, loops in k_map.items():
@@ -88,7 +88,7 @@ def unary_singleton(n: int, alphabet: Alphabet | None = None) -> PartialDfa:
     if "b" not in alphabet:
         raise ValueError("alphabet must contain 'b'")
     k, j = len(alphabet), alphabet.index("b")
-    table = [-1] * ((n + 1) * k)
+    table = _undefined_table(n + 1, k)
     for i in range(n):
         table[i * k + j] = i + 1
     return PartialDfa(alphabet, n + 1, 0, frozenset({n}), table)
@@ -106,7 +106,7 @@ def chain_star_witness(m: int, alphabet: Alphabet | None = None) -> PartialDfa:
     if "a" not in alphabet or "b" not in alphabet:
         raise ValueError("alphabet must contain 'a' and 'b'")
     k, a, b = len(alphabet), alphabet.index("a"), alphabet.index("b")
-    table = [-1] * (m * k)
+    table = _undefined_table(m, k)
     table[a] = 0  # the a-loop on the start
     for i in range(m - 1):
         table[i * k + b] = i + 1

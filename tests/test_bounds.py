@@ -5,6 +5,7 @@ import random
 import re
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +30,7 @@ from pdfa.bounds import (
     union_total_lower,
     union_total_upper,
 )
+from pdfa.witnesses import chain_star_witness, unary_cycle, unary_singleton
 
 
 def test_union_symbol_upper_values():
@@ -324,17 +326,27 @@ def test_run_suite_measures_each_sampled_machine_once(monkeypatch):
 
 
 def test_run_suite_measures_each_witness_product_once(monkeypatch):
-    measured = Counter()
-    minimize = pdfa.bounds.minimize
+    products, measured = [], []  # each holds its machines, so no id is reused
+    for name in ("union_product", "intersection_product", "complement"):
+        def built(*args, _build=getattr(pdfa.bounds, name)):
+            products.append(_build(*args))
+            return products[-1]
+
+        monkeypatch.setattr(pdfa.bounds, name, built)
+    measure = pdfa.bounds.complexity
 
     def counted(dfa):
-        measured[dfa] += 1
-        return minimize(dfa)
+        measured.append(dfa)
+        return measure(dfa)
 
-    monkeypatch.setattr(pdfa.bounds, "minimize", counted)
+    monkeypatch.setattr(pdfa.bounds, "complexity", counted)
     run_suite(max_n=5, pairs=1)
-    # the unary rows minimize equal products for (n1, n2) and (n2, n1); no other row repeats
-    assert [dfa for dfa, n in measured.items() if n > 1 and len(dfa.alphabet) > 1] == []
+    # witness premises are measured again in each group that takes them: count products only
+    built_ids = {id(dfa) for dfa in products}
+    times = Counter(dfa for dfa in measured if id(dfa) in built_ids)
+    assert times
+    # the unary rows measure equal products for (n1, n2) and (n2, n1); no other row repeats
+    assert [dfa for dfa, n in times.items() if n > 1 and len(dfa.alphabet) > 1] == []
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -438,13 +450,13 @@ def test_flagged_check_renders_the_machines_it_measured(bound_id, params, relati
         # a complement that returns the singleton itself: tc 3 against the bound 10
         monkeypatch.setattr(pdfa.bounds, "complement", lambda dfa: dfa)
     measured = []
-    minimize = pdfa.bounds.minimize
+    complexity = pdfa.bounds.complexity
 
     def kept(dfa):
-        measured.append(minimize(dfa))
+        measured.append(complexity(dfa))
         return measured[-1]
 
-    monkeypatch.setattr(pdfa.bounds, "minimize", kept)
+    monkeypatch.setattr(pdfa.bounds, "complexity", kept)
     rep = check_bound(bound_id, params)
     assert rep.relation is relation
     assert (rep.note != "") == (relation is Relation.EQUAL)  # flagged by its note or its verdict
@@ -452,7 +464,43 @@ def test_flagged_check_renders_the_machines_it_measured(bound_id, params, relati
     assert note == rep.note
     renderings = re.split(r"(?m)^(?=alphabet )", rest)[1:]
     assert "".join(renderings) == rest
-    assert [parse_dfa(text) for text in renderings] == measured != []
+    # the witnesses' premises are measured first; the result last, and only it is rendered
+    assert measured != [] and measured[-1].tc == rep.measured_value
+    assert [parse_dfa(text) for text in renderings] == [measured[-1].minimal]
+
+
+@pytest.mark.parametrize("bound_id, params, patches, verdict", [
+    # a singleton one move too long: the complement meets the bound it predicts, but the premise fails
+    ("complement-tight", {"n": 3},
+     {"unary_singleton": lambda n, alphabet: unary_singleton(n + 1, alphabet=alphabet)},
+     (12, 12, Relation.VIOLATION, "witness premise failed: tc of the singleton is 4, expected 3")),
+    ("conjecture-small", {"m": 2},
+     {"chain_star_witness": lambda m, alphabet: chain_star_witness(m + 1, alphabet=alphabet)},
+     (4, 5, Relation.VIOLATION, "expected trio (0, 2, 4), measured (0, 3, 5)")),
+    ("unary-exception", {"n": 2},
+     {"brute_min_transitions": lambda dfa: SimpleNamespace(min_total=0)},
+     (3, 4, Relation.VIOLATION, "minimizer (4) and brute-force oracle (0) disagree")),
+    # (bb)* joined with itself: tc 2, not above the product bound
+    ("unary-exception", {"n": 2},
+     {"unary_singleton": lambda _n: unary_cycle(2)},
+     (3, 2, Relation.VIOLATION, "union of b and (b^2)* did not exceed the product bound 2")),
+    # {b} joined with {bbb}: a chain of tc 3 = n + 1
+    ("unary-exception", {"n": 2},
+     {"unary_cycle": lambda n: unary_singleton(n + 1)},
+     (3, 3, Relation.EQUAL, "")),
+], ids=["complement-premise", "conjecture-premise", "exception-oracle-disagrees",
+        "exception-not-above-n", "exception-equal"])
+def test_each_verdict_branch_of_a_witness_row(bound_id, params, patches, verdict, monkeypatch):
+    for name, value in patches.items():
+        monkeypatch.setattr(pdfa.bounds, name, value)
+    rep = check_bound(bound_id, params)
+    assert (rep.formula_value, rep.measured_value, rep.relation, rep.note) == verdict
+
+
+def test_a_direct_sampled_check_rejects_no_pairs():
+    with pytest.raises(ValueError) as exc:
+        check_bound("union-total-upper", {"pairs": 0})
+    assert str(exc.value) == "need at least one pair, got 0"
 
 
 def test_only_flagged_reports_carry_renderings():

@@ -172,6 +172,22 @@ def test_witness_rejects_out_of_range_parameters(capsys):
     assert "k" in capsys.readouterr().err
 
 
+HUGE = 10**20  # past the index range: the table fails before any allocation
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["witness", "union-symbol", "--n", str(HUGE), "--k", "1"], f"state count {HUGE} is too large"),
+    (["witness", "unary-singleton", "--n", str(HUGE)], f"state count {HUGE + 1} is too large"),
+    (["witness", "chain-star", "--m", str(HUGE)], f"state count {HUGE} is too large"),
+    (["check", "complement-tight", "--n", str(HUGE)], f"state count {HUGE + 1} is too large"),
+    (["check", "conjecture-small", "--m", "0"], "need m >= 1, got 0"),
+], ids=["union-symbol", "unary-singleton", "chain-star", "complement-tight", "conjecture-small"])
+def test_a_witness_size_that_cannot_be_built_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_witness_requires_its_parameters(capsys):
     assert main(["witness", "union-symbol", "--k", "1"]) == 2
     assert "--n" in capsys.readouterr().err

@@ -84,6 +84,14 @@ def test_validate_collects_every_violation():
     assert str(again.value) == text
 
 
+def test_the_constructor_rejects_a_machine_of_no_states():
+    with pytest.raises(ValueError) as exc:
+        PartialDfa(Alphabet("ab"), 0, 0, (), ())
+    assert str(exc.value) == (
+        "malformed DFA: state count must be at least 1, got 0; start state 0 out of range 0..-1"
+    )
+
+
 @pytest.mark.parametrize(
     "table, start, accepting, message",
     [
@@ -239,13 +247,32 @@ def test_parse_rejects_unknown_symbol():
         (["start 0", "accept 1", "0 a 1", "-1 a 0"], 6, "source state -1 out of range 0..1"),
         (["start 0", "accept 1", "0 a 1", "1 b 2"], 6, "target state 2 out of range 0..1"),
         (["start 0", "accept 1", "0 a 1", "1 z 0"], 6, "symbol 'z' not in alphabet"),
+        (["start 0 1", "accept 1"], 3, "start line takes exactly one state"),
+        (["start 0", "accept 1", "0 a"], 5, "transition line needs 'src symbol dst', got 2 tokens"),
     ],
-    ids=["start", "accepting", "source", "negative-source", "target", "foreign-symbol"],
+    ids=["start", "accepting", "source", "negative-source", "target", "foreign-symbol",
+         "start-tokens", "transition-tokens"],
 )
 def test_parse_rejects_a_state_or_symbol_out_of_range_at_its_line(lines, line, message):
     # the text entry point's own checks: a table has no slot for a bad source or symbol
     with pytest.raises(DfaParseError) as exc:
         parse_dfa("\n".join(["alphabet a b", "states 2", *lines]) + "\n")
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "lines, line, message",
+    [
+        (["alphabet a a"], 1, "alphabet symbols must be distinct"),
+        (["alphabet a", "states 2 3"], 2, "states line takes exactly one count"),
+        (["alphabet a", "states 0"], 2, "state count must be at least 1, got 0"),
+    ],
+    ids=["alphabet", "states-tokens", "no-states"],
+)
+def test_parse_rejects_a_malformed_header_at_its_line(lines, line, message):
+    with pytest.raises(DfaParseError) as exc:
+        parse_dfa("\n".join([*lines, "start 0", "accept 0"]) + "\n")
     assert exc.value.line == line
     assert str(exc.value) == f"line {line}: {message}"
 

@@ -129,6 +129,13 @@ def test_complexity_invariants(d):
     assert rep.nerode_classes in (rep.sc, rep.sc + 1)
 
 
+@given(partial_dfas())
+def test_complexity_returns_the_minimal_dfa_it_measured(d):
+    rep = complexity(d)
+    assert rep.minimal == minimize(d)
+    assert (rep.sc, rep.tc_per_symbol) == (rep.minimal.state_count, transition_counts(rep.minimal).per_symbol)
+
+
 def test_equivalent_ignores_presentation():
     d = PartialDfa(Alphabet("a"), 3, 0, frozenset({0}), (1, -1, 0))
     assert equivalent(d, trim(d))

@@ -371,6 +371,25 @@ def test_lemma1_rejects_a_stream_out_of_size_order(monkeypatch):
         oracle_mod.verify_lemma1(2, Alphabet("ab"))
 
 
+def test_lemma1_reports_a_first_machine_with_moves_its_language_does_not_need(monkeypatch):
+    """A stream whose first machine of {ε} has an 'a'-move into a dead state,
+    and whose next machine of the same size leaves it out."""
+    import pdfa.oracle as oracle_mod
+
+    alphabet = Alphabet("ab")
+    first = PartialDfa(alphabet, 2, 0, {0}, (1, 1, -1, -1))
+    later = PartialDfa(alphabet, 2, 0, {0}, (-1, 1, -1, -1))
+    monkeypatch.setattr(oracle_mod, "_all_dfas", lambda max_states, alphabet: iter([first, later]))
+    report = oracle_mod.verify_lemma1(2, alphabet)
+    text = render_dfa(first)
+    assert report.counterexamples == (
+        "minimize() is not the minimal DFA of:\n" + text,
+        "minimize() is not the minimal DFA of:\n" + render_dfa(later),
+        "total transitions: the minimal DFA has 2, but 1 are achievable for:\n" + text,
+        "'a'-transitions: the minimal DFA has 1, but 0 are achievable for:\n" + text,
+    )
+
+
 def _key(d: PartialDfa, depth: int) -> bytes:
     return _reached(d.table, len(d.alphabet), depth).translate(_indicator(d.accepting))
 
