@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 from .boolean import complement, intersection_product, union_product
 from .core import Alphabet, PartialDfa, _bfs_order, render_dfa, transition_counts
 from .minimize import ComplexityReport, canonicalize, complexity, minimize
-from .oracle import brute_min_transitions
+from .oracle import _ENUM_LIMITS, brute_min_transitions
 from .witnesses import (
     chain_star_witness,
     epsilon_lang,
@@ -76,9 +76,9 @@ def union_symbol_upper(tb1: int, tb2: int, s1: int, s2: int) -> int:
 
 
 def union_state_upper(n1: int, n2: int) -> int:
-    """The union polynomial n1*n2 + n1 + n2: the state bound for the union,
-    and the conjectured transition bound for it (plausible for tc >= 2;
-    known to fail below that, see the conjecture-small check)."""
+    """The union polynomial n1*n2 + n1 + n2: the state bound for the union, and the
+    conjectured transition bound for it, which fails below tc 2 (conjecture-small)
+    and at tc 2 too: the union of a*b and b*a (tc 2 each) measures tc 10 > 8."""
     if n1 < 0 or n2 < 0:
         raise ValueError(f"counts must be non-negative, got {n1}, {n2}")
     return n1 * n2 + n1 + n2
@@ -100,7 +100,8 @@ def unary_union_upper(t1: int, t2: int) -> int:
 
     The guard is not pedantry: the union of b (one transition) with
     (b^n)* costs strictly more than 1*n transitions, so the product
-    form genuinely fails there.
+    form genuinely fails there.  Nor does it hold for every pair from tc 2
+    on: the union of b(bb)* and {bb} (tc 2 each) measures tc 5 > 4.
     """
     if t1 < 2 or t2 < 2:
         raise ValueError(
@@ -280,7 +281,7 @@ def _relation(measured: int, formula: int, tight: bool = True, failed: bool = Fa
 
 
 # What the rows of one run_suite group share: one witness product, or one
-# sample with the counts of its operands and their unions.  None outside a
+# sample with the counts of its operands and their results.  None outside a
 # group, where each check computes everything afresh.  Keys are values, never
 # identities, so an entry is right wherever it is found.
 _shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
@@ -409,6 +410,12 @@ def _unary_tight(n1: int, n2: int) -> Outcome:
 def _unary_exception(n: int) -> Outcome:
     if n < 2:
         raise ValueError(f"the exception probe needs n >= 2, got {n}")
+    limit = _ENUM_LIMITS[1]  # the oracle searches one state past the union's sc, n + 2
+    if n > limit - 3:
+        raise ValueError(
+            "the exception probe certifies its tc with the brute-force oracle, whose unary "
+            f"enumeration stops at {limit} states, so n must be at most {limit - 3}, got {n}"
+        )
     r = complexity(union_product(unary_singleton(1), unary_cycle(n)))
     oracle = brute_min_transitions(r.minimal)
     reference = n + 1
@@ -498,9 +505,9 @@ def _operand(dfa: PartialDfa) -> tuple[int, tuple[int, ...]]:
     return _kept(dfa, lambda: _construction(minimize(dfa)))
 
 
-def _union(a: PartialDfa, b: PartialDfa) -> tuple[int, ...]:
-    """Per-symbol tc of the union of a sampled pair, computed once per group."""
-    return _kept((a, b), lambda: _construction(minimize(union_product(a, b)))[1])
+def _result(op: Callable[..., PartialDfa], *operands: PartialDfa) -> tuple[int, ...]:
+    """Per-symbol tc of ``op`` applied to sampled operands, computed once per group."""
+    return _kept((*operands, op), lambda: _construction(minimize(op(*operands)))[1])
 
 
 def _per_symbol(bound, exact: bool, a, b, got: tuple[int, ...]):
@@ -519,13 +526,13 @@ def _per_symbol(bound, exact: bool, a, b, got: tuple[int, ...]):
 
 def _union_total_upper_pair(a: PartialDfa, b: PartialDfa) -> tuple[int, int, bool]:
     formula = union_total_upper(sum(_operand(a)[1]), sum(_operand(b)[1]))
-    measured = sum(_union(a, b))
+    measured = sum(_result(union_product, a, b))
     return measured, formula, measured > formula
 
 
 def _intersection_upper_pair(a: PartialDfa, b: PartialDfa) -> tuple[int, int, bool]:
     ta, tb = _operand(a)[1], _operand(b)[1]
-    measured = complexity(intersection_product(a, b)).tc
+    measured = sum(_result(intersection_product, a, b))
     symbol_sum = sum(intersection_upper(x, y) for x, y in zip(ta, tb))
     formula = intersection_upper(sum(ta), sum(tb))
     # two layers: tc <= sum of per-symbol products <= t1*t2
@@ -534,13 +541,13 @@ def _intersection_upper_pair(a: PartialDfa, b: PartialDfa) -> tuple[int, int, bo
 
 def _complement_upper_pair(a: PartialDfa, _b: PartialDfa) -> tuple[int, int, bool]:
     formula = complement_upper(len(a.alphabet), sum(_operand(a)[1]))
-    measured = complexity(complement(a)).tc
+    measured = sum(_result(complement, a))
     return measured, formula, measured > formula
 
 
 _suite("union-total-upper", _union_total_upper_pair)
 _suite("union-symbol-sound", lambda a, b: _per_symbol(
-    union_symbol_upper, False, _operand(a), _operand(b), _union(a, b)))
+    union_symbol_upper, False, _operand(a), _operand(b), _result(union_product, a, b)))
 # the union construction's count is exact only with a dead slot on both sides
 _suite("union-construction-exact", lambda a, b: _per_symbol(
     union_symbol_upper, True, _construction(a), _construction(b),

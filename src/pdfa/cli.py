@@ -138,6 +138,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         if getattr(args, name) is not None
     }
     if args.all:
+        if args.bound:
+            raise ValueError(f"--all takes no bound id, got {args.bound!r}")
         stray = [name for name in given if name not in ("max_n", "seed", "pairs")]
         if stray:
             raise ValueError(f"--all takes only --max-n, --seed and --pairs, not {_flags(stray)}")

@@ -227,13 +227,7 @@ def parse_dfa(text: str) -> PartialDfa:
     number and enforce well-formedness, so the constructor never rejects
     a parsed machine.
     """
-    headers = ["alphabet", "states", "start", "accept"]
-    stage = 0
-    alphabet: Alphabet | None = None
-    state_count = 0
-    start = 0
-    accepting: set[int] = set()
-    table: list[int] = []
+    lines = enumerate(text.splitlines(), start=1)
 
     def want_int(token: str, lineno: int, what: str) -> int:
         try:
@@ -241,51 +235,55 @@ def parse_dfa(text: str) -> PartialDfa:
         except ValueError:
             raise DfaParseError(lineno, f"{what} must be an integer, got {token!r}") from None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    def header(name: str) -> tuple[int, list[str]]:
+        """The next line that is not blank or a comment, which must be ``name``'s."""
+        for lineno, raw in lines:
+            tokens = raw.split()
+            if tokens and not tokens[0].startswith("#"):
+                if tokens[0] != name:
+                    raise DfaParseError(lineno, f"expected {name!r} line, got {tokens[0]!r}")
+                return lineno, tokens
+        # reported at the line after the input's last one, where the header was due
+        raise DfaParseError(len(text.splitlines()) + 1, f"incomplete input: missing {name!r} line")
+
+    lineno, tokens = header("alphabet")
+    try:
+        alphabet = Alphabet(tokens[1:])
+    except ValueError as exc:
+        raise DfaParseError(lineno, str(exc)) from None
+    lineno, tokens = header("states")
+    if len(tokens) != 2:
+        raise DfaParseError(lineno, "states line takes exactly one count")
+    state_count = want_int(tokens[1], lineno, "state count")
+    if state_count < 1:
+        raise DfaParseError(lineno, f"state count must be at least 1, got {state_count}")
+    try:
+        table = _undefined_table(state_count, len(alphabet))
+    except ValueError as exc:
+        raise DfaParseError(lineno, str(exc)) from None
+    lineno, tokens = header("start")
+    if len(tokens) != 2:
+        raise DfaParseError(lineno, "start line takes exactly one state")
+    start = want_int(tokens[1], lineno, "start state")
+    if not 0 <= start < state_count:
+        raise DfaParseError(lineno, f"start state {start} out of range 0..{state_count - 1}")
+    lineno, tokens = header("accept")
+    accepting = set()
+    for tok in tokens[1:]:
+        q = want_int(tok, lineno, "accepting state")
+        if not 0 <= q < state_count:
+            raise DfaParseError(lineno, f"accepting state {q} out of range 0..{state_count - 1}")
+        accepting.add(q)
+
+    for lineno, raw in lines:
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
-        if stage < 4:
-            expected = headers[stage]
-            if tokens[0] != expected:
-                raise DfaParseError(lineno, f"expected {expected!r} line, got {tokens[0]!r}")
-            if expected == "alphabet":
-                try:
-                    alphabet = Alphabet(tokens[1:])
-                except ValueError as exc:
-                    raise DfaParseError(lineno, str(exc)) from None
-            elif expected == "states":
-                if len(tokens) != 2:
-                    raise DfaParseError(lineno, "states line takes exactly one count")
-                state_count = want_int(tokens[1], lineno, "state count")
-                if state_count < 1:
-                    raise DfaParseError(lineno, f"state count must be at least 1, got {state_count}")
-                try:
-                    table = _undefined_table(state_count, len(alphabet))
-                except ValueError as exc:
-                    raise DfaParseError(lineno, str(exc)) from None
-            elif expected == "start":
-                if len(tokens) != 2:
-                    raise DfaParseError(lineno, "start line takes exactly one state")
-                start = want_int(tokens[1], lineno, "start state")
-                if not 0 <= start < state_count:
-                    raise DfaParseError(lineno, f"start state {start} out of range 0..{state_count - 1}")
-            else:
-                for tok in tokens[1:]:
-                    q = want_int(tok, lineno, "accepting state")
-                    if not 0 <= q < state_count:
-                        raise DfaParseError(lineno, f"accepting state {q} out of range 0..{state_count - 1}")
-                    accepting.add(q)
-            stage += 1
-            continue
-        # transition lines
         if len(tokens) != 3:
             raise DfaParseError(lineno, f"transition line needs 'src symbol dst', got {len(tokens)} tokens")
         src = want_int(tokens[0], lineno, "source state")
         sym = tokens[1]
         dst = want_int(tokens[2], lineno, "target state")
-        assert alphabet is not None
         if sym not in alphabet:
             raise DfaParseError(lineno, f"symbol {sym!r} not in alphabet")
         if not 0 <= src < state_count:
@@ -296,13 +294,6 @@ def parse_dfa(text: str) -> PartialDfa:
         if table[slot] != -1:
             raise DfaParseError(lineno, f"duplicate transition for state {src} on symbol {sym!r}")
         table[slot] = dst
-
-    if stage < 4:
-        # reported at the line after the input's last one, where the header was due
-        raise DfaParseError(
-            len(text.splitlines()) + 1, f"incomplete input: missing {headers[stage]!r} line"
-        )
-    assert alphabet is not None
     return PartialDfa(alphabet, state_count, start, accepting, table)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -205,6 +206,21 @@ def test_exception_probe_flags_but_does_not_fail():
             assert "flagged" in rep.note
 
 
+@pytest.mark.parametrize("n", [12, 40])
+def test_exception_probe_rejects_n_past_the_oracles_reach_before_building(n, monkeypatch):
+    def unbuilt(*_args, **_kwargs):
+        raise AssertionError("built a machine")
+
+    for name in ("unary_singleton", "unary_cycle", "union_product", "brute_min_transitions"):
+        monkeypatch.setattr(pdfa.bounds, name, unbuilt)
+    with pytest.raises(ValueError) as exc:
+        check_bound("unary-exception", {"n": n})
+    assert str(exc.value) == (
+        "the exception probe certifies its tc with the brute-force oracle, whose unary "
+        f"enumeration stops at 14 states, so n must be at most 11, got {n}"
+    )
+
+
 def test_conjecture_small_counterexample_trio():
     rep = check_bound("conjecture-small", {"m": 3})
     assert rep.relation is Relation.EQUAL
@@ -297,8 +313,9 @@ def test_run_suite_draws_each_sample_once(monkeypatch):
 
 
 def test_run_suite_measures_each_sampled_machine_once(monkeypatch):
-    operands, measured, unions = [], [], []  # each holds its machines, so no id is reused
-    draw, measure, union = pdfa.bounds.sample_pairs, pdfa.bounds.minimize, pdfa.bounds.union_product
+    operands, measured = [], []  # each holds its machines, so no id is reused
+    results = {}  # id of a built result -> (the result, (operation, *operands))
+    draw, measure = pdfa.bounds.sample_pairs, pdfa.bounds.minimize
 
     def drawn(*args):
         sample = draw(*args)
@@ -309,20 +326,31 @@ def test_run_suite_measures_each_sampled_machine_once(monkeypatch):
         measured.append(dfa)
         return measure(dfa, *args)
 
-    def built(a, b):
-        unions.append((a, b))
-        return union(a, b)
+    for name in ("union_product", "intersection_product", "complement"):
+        def built(*args, _name=name, _build=getattr(pdfa.bounds, name)):
+            result = _build(*args)
+            results[id(result)] = (result, (_name, *args))
+            return result
 
+        monkeypatch.setattr(pdfa.bounds, name, built)
     monkeypatch.setattr(pdfa.bounds, "sample_pairs", drawn)
+    # complexity() minimizes through pdfa.minimize's own name
     monkeypatch.setattr(pdfa.bounds, "minimize", counted)
-    monkeypatch.setattr(pdfa.bounds, "union_product", built)
-    run_suite(max_n=3, pairs=5)
-    assert len(operands) == 10
+    monkeypatch.setattr(sys.modules["pdfa.minimize"], "minimize", counted)
+    run_suite(max_n=3, pairs=40)
+    assert len(operands) == 80
+    assert len(set(operands)) < 80  # some pairs are drawn twice
     times = Counter(id(dfa) for dfa in measured)
     assert max(times[id(dfa)] for pair in operands for dfa in pair) == 1
     # union-total-upper and union-symbol-sound share each pair's union
-    times = Counter((id(a), id(b)) for a, b in unions)
+    times = Counter(tuple(map(id, args)) for _result, (op, *args) in results.values()
+                    if op == "union_product")
     assert max(times[id(a), id(b)] for a, b in operands) == 1
+    # each (operation, operands) is minimized at most once, equal samples included;
+    # intersection-construction-exact counts its raw product without minimizing it
+    times = Counter(results[id(dfa)][1] for dfa in measured if id(dfa) in results)
+    assert {op for op, *_operands in times} == {"union_product", "intersection_product", "complement"}
+    assert max(times.values()) == 1
 
 
 def test_run_suite_measures_each_witness_product_once(monkeypatch):
@@ -369,7 +397,8 @@ def test_run_suite_store_never_holds_two_products_or_two_samples(monkeypatch):
     monkeypatch.setattr(pdfa.bounds, "_kept", watched)
     run_suite(max_n=5, pairs=5)
     # a product's key is ("symbol", ...) or ("total", ...), a sample's its draw's
-    # arguments; a sample's operands are keyed by machine and their unions by pairs
+    # arguments; a sample's operands are keyed by machine and their results by
+    # operands, then operation
     drawn = [{key for key in keys if isinstance(key, tuple) and not isinstance(key[0], PartialDfa)}
              for keys in stores]
     assert all(len(roots) == 1 for roots in drawn)

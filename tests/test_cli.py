@@ -181,7 +181,16 @@ HUGE = 10**20  # past the index range: the table fails before any allocation
     (["witness", "chain-star", "--m", str(HUGE)], f"state count {HUGE} is too large"),
     (["check", "complement-tight", "--n", str(HUGE)], f"state count {HUGE + 1} is too large"),
     (["check", "conjecture-small", "--m", "0"], "need m >= 1, got 0"),
-], ids=["union-symbol", "unary-singleton", "chain-star", "complement-tight", "conjecture-small"])
+    (["check", "complement-tight", "--n", "3", "--sigma", "4"], "sigma must be 1..3, got 4"),
+    (["check", "unary-exception", "--n", "1"], "the exception probe needs n >= 2, got 1"),
+    (["check", "unary-exception", "--n", "12"], "the exception probe certifies its tc with the "
+     "brute-force oracle, whose unary enumeration stops at 14 states, so n must be at most 11, got 12"),
+    (["witness", "unary-singleton", "--n", "0"], "word length must be at least 1, got 0"),
+    (["witness", "unary-singleton", "--n", "2", "--alphabet", "ac"], "alphabet must contain 'b'"),
+    (["witness", "chain-star", "--m", "2", "--alphabet", "bc"], "alphabet must contain 'a' and 'b'"),
+], ids=["union-symbol", "unary-singleton", "chain-star", "complement-tight", "conjecture-small",
+        "complement-sigma", "exception-small", "exception-12", "singleton-length",
+        "singleton-alphabet", "chain-star-alphabet"])
 def test_a_witness_size_that_cannot_be_built_exits_2(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -375,6 +384,16 @@ def test_check_all_rejects_no_pairs_before_any_row_runs(monkeypatch, capsys):
     assert main(["check", "--all", "--max-n", "11", "--pairs", "0"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: need at least one pair, got 0\n")
+    assert rows == []
+
+
+@pytest.mark.parametrize("bound", ["intersection-tight", "no-such"])
+def test_check_all_takes_no_bound_id(bound, monkeypatch, capsys):
+    rows = []
+    monkeypatch.setattr(pdfa.bounds, "check_bound", lambda *args: rows.append(args))
+    assert main(["check", bound, "--all", "--max-n", "3", "--pairs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: --all takes no bound id, got {bound!r}\n")
     assert rows == []
 
 

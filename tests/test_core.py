@@ -249,9 +249,15 @@ def test_parse_rejects_unknown_symbol():
         (["start 0", "accept 1", "0 a 1", "1 z 0"], 6, "symbol 'z' not in alphabet"),
         (["start 0 1", "accept 1"], 3, "start line takes exactly one state"),
         (["start 0", "accept 1", "0 a"], 5, "transition line needs 'src symbol dst', got 2 tokens"),
+        (["start x", "accept 1"], 3, "start state must be an integer, got 'x'"),
+        (["start 0", "accept 1 y"], 4, "accepting state must be an integer, got 'y'"),
+        (["start 0", "accept 1", "x a 1"], 5, "source state must be an integer, got 'x'"),
+        (["start 0", "accept 1", "0 a y"], 5, "target state must be an integer, got 'y'"),
+        (["start 0", "accept 1", "0 a 1", "0 a 0"], 6, "duplicate transition for state 0 on symbol 'a'"),
     ],
     ids=["start", "accepting", "source", "negative-source", "target", "foreign-symbol",
-         "start-tokens", "transition-tokens"],
+         "start-tokens", "transition-tokens", "start-int", "accepting-int", "source-int",
+         "target-int", "duplicate"],
 )
 def test_parse_rejects_a_state_or_symbol_out_of_range_at_its_line(lines, line, message):
     # the text entry point's own checks: a table has no slot for a bad source or symbol
@@ -267,8 +273,11 @@ def test_parse_rejects_a_state_or_symbol_out_of_range_at_its_line(lines, line, m
         (["alphabet a a"], 1, "alphabet symbols must be distinct"),
         (["alphabet a", "states 2 3"], 2, "states line takes exactly one count"),
         (["alphabet a", "states 0"], 2, "state count must be at least 1, got 0"),
+        (["alphabet a", "states x"], 2, "state count must be an integer, got 'x'"),
+        (["alphabet"], 1, "alphabet must not be empty"),
+        (["alphabet a"], 2, "expected 'states' line, got 'start'"),
     ],
-    ids=["alphabet", "states-tokens", "no-states"],
+    ids=["alphabet", "states-tokens", "no-states", "states-int", "empty-alphabet", "order"],
 )
 def test_parse_rejects_a_malformed_header_at_its_line(lines, line, message):
     with pytest.raises(DfaParseError) as exc:
@@ -290,6 +299,21 @@ def test_parse_reports_truncated_input_after_its_last_line():
     with pytest.raises(DfaParseError) as exc:
         parse_dfa("")
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("", 1, "incomplete input: missing 'alphabet' line"),
+        ("alphabet a\nstates 2\n# start\n\n# accept\n", 6, "incomplete input: missing 'start' line"),
+    ],
+    ids=["empty", "trailing-comments"],
+)
+def test_parse_reports_incomplete_input_where_the_header_was_due(text, line, message):
+    with pytest.raises(DfaParseError) as exc:
+        parse_dfa(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
 
 
 def test_parse_rejects_a_table_too_long_to_index():
