@@ -86,13 +86,13 @@ def union_state_upper(n1: int, n2: int) -> int:
 
 def union_total_upper(t1: int, t2: int) -> int:
     """General upper bound on tc of a union: 2*(t1*t2 + t1 + t2)."""
-    return 2 * (t1 * t2 + t1 + t2)
+    return 2 * union_state_upper(t1, t2)
 
 
 def union_total_lower(t1: int, t2: int) -> int:
     """Worst-case lower bound on tc of a union: t1*t2 + t1 + t2 - 1; also
     the upper bound when every cycle-symbol move is defined."""
-    return t1 * t2 + t1 + t2 - 1
+    return union_state_upper(t1, t2) - 1
 
 
 def unary_union_upper(t1: int, t2: int) -> int:

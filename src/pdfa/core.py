@@ -17,6 +17,7 @@ equal languages produce byte-identical artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import countOf
 from typing import Iterable, Iterator, Mapping
 
 
@@ -54,9 +55,10 @@ class PartialDfa:
     ``PartialDfa(alphabet, n, start, accepting, table)`` takes the table
     itself (-1 = undefined) and any sequence of symbols as the alphabet,
     which :class:`Alphabet` checks.  It rejects a malformed machine -- a
-    table of the wrong length, or a start, accepting or target state
-    outside ``0..n-1`` -- with a ValueError listing every violation, so
-    every instance is well formed.  Instances are immutable and
+    table of the wrong length, a state count, start, accepting or target
+    state that is not an ``int`` (a bool is not), or a state outside
+    ``0..n-1`` -- with a ValueError listing every violation, so every
+    instance is well formed.  Instances are immutable and
     hashable: equal machines have equal tables.
     """
 
@@ -75,7 +77,10 @@ class PartialDfa:
             raise ValueError(f"malformed DFA: table length {len(table)} is not "
                              f"{n} states times {len(alphabet)} symbols")
         if (
-            (table and (min(table) < -1 or max(table) >= n))
+            type(n) is not int or type(start) is not int  # a bool is not an int here
+            or countOf(map(type, table), int) != len(table)
+            or countOf(map(type, accepting), int) != len(accepting)
+            or (table and (min(table) < -1 or max(table) >= n))
             or not 0 <= start < n
             or (accepting and (min(accepting) < 0 or max(accepting) >= n))
         ):
@@ -121,17 +126,26 @@ def _moves(alphabet: Alphabet, table: tuple[int, ...]) -> Iterator[tuple[int, st
 
 def _malformed(alphabet, n, start, accepting, table) -> ValueError:
     """The error for a malformed machine, listing every violation among
-    its states and its table's ``(src, symbol, dst)`` moves."""
+    its states and its table's ``(src, symbol, dst)`` entries."""
     bad: list[str] = []
-    if n < 1:
+    if type(n) is not int:
+        bad.append(f"state count must be an int, got {n!r}")
+    elif n < 1:
         bad.append(f"state count must be at least 1, got {n}")
-    if not 0 <= start < n:
+    if type(start) is not int:
+        bad.append(f"start state must be an int, got {start!r}")
+    elif not 0 <= start < n:
         bad.append(f"start state {start} out of range 0..{n - 1}")
     for q in sorted(accepting):
-        if not 0 <= q < n:
+        if type(q) is not int:
+            bad.append(f"accepting state {q!r} is not an int")
+        elif not 0 <= q < n:
             bad.append(f"accepting state {q} out of range 0..{n - 1}")
-    for src, sym, dst in sorted(_moves(alphabet, table)):
-        if not 0 <= dst < n:
+    k = len(alphabet)
+    for src, sym, dst in sorted((i // k, alphabet[i % k], t) for i, t in enumerate(table)):
+        if type(dst) is not int:
+            bad.append(f"transition ({src}, {sym!r}) -> {dst!r}: target is not an int")
+        elif not -1 <= dst < n:
             bad.append(f"transition ({src}, {sym!r}) -> {dst}: target out of range")
     return ValueError("malformed DFA: " + "; ".join(bad))
 

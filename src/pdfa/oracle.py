@@ -28,7 +28,7 @@ table and hands it to ``minimize`` for each of the table's machines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import Alphabet, PartialDfa, pair_equivalent, render_dfa, transition_counts
 from .minimize import _search, canonicalize, minimize
@@ -117,8 +117,7 @@ def brute_min_transitions(target: PartialDfa, max_states: int = 0) -> OracleResu
         )
     auto = max_states == 0
     cap = limit if auto else max_states
-    min_total: int | None = None
-    min_per: dict[str, int] = {}
+    least: list[int] = []  # [total, then each symbol in alphabet order]
     witness: PartialDfa | None = None
     for cand in _all_dfas(cap, alphabet):
         if cand.state_count > cap:
@@ -134,18 +133,16 @@ def brute_min_transitions(target: PartialDfa, max_states: int = 0) -> OracleResu
                     f"{limit} states; give max_states={limit} to search up to {limit} states only"
                 )
         counts = transition_counts(cand)
-        if min_total is None or counts.total < min_total:
-            min_total = counts.total
+        sizes = [counts.total, *counts.per_symbol.values()]
+        if witness is None or sizes[0] < least[0]:
             witness = cand
-        for sym, c in counts.per_symbol.items():
-            if sym not in min_per or c < min_per[sym]:
-                min_per[sym] = c
+        least = [*map(min, least, sizes)] if least else sizes
     if witness is None:
         raise ValueError(
             f"no DFA with at most {cap} states recognizes the language: "
             f"its state complexity is above {cap}"
         )
-    return OracleResult(min_total=min_total, min_per_symbol=min_per, witness_dfa=witness)
+    return OracleResult(least[0], dict(zip(alphabet, least[1:])), witness)
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,7 @@ def _indicator(accepting: frozenset[int]) -> bytes:
     return bytes(q in accepting for q in range(256))
 
 
-def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
+def verify_lemma1(max_states: int, alphabet: Iterable[str]) -> Lemma1Report:
     """Certify the minimizer against brute force, language by language.
 
     Enumerates every connected canonical partial DFA with up to
@@ -213,6 +210,7 @@ def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
+    alphabet = Alphabet(alphabet)  # any sequence of symbols, checked here
     limit = _state_limit(alphabet)
     if max_states >= limit:
         raise ValueError(
@@ -222,7 +220,7 @@ def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
         )
     cap = max_states + 1
     depth = 2 * cap - 1
-    # language key -> [its minimal DFA's rendering, that DFA, [min total, per-symbol minima...]]
+    # language key -> [its minimal DFA's rendering, that DFA, its counts, the least counts]
     groups: dict[bytes, list] = {}
     indicators: dict[frozenset[int], bytes] = {}
     checked = 0
@@ -252,32 +250,26 @@ def verify_lemma1(max_states: int, alphabet: Alphabet) -> Lemma1Report:
             first = a
             text = render_dfa(a)  # also out of scope: perfbench's trace counts languages by it
             if size <= max_states:
-                groups[key] = [text, a, sizes]
+                groups[key] = [text, a, sizes, sizes]
         else:
             first = g[1]
-            g[2] = [*map(min, g[2], sizes)]
+            g[3] = [*map(min, g[3], sizes)]
         if m != first:
             what = "is not the minimal DFA" if pair_equivalent(a, m) else "changed the language"
             bad.append(f"minimize() {what} of:\n" + render_dfa(a))
 
-    in_scope = sorted(groups.values(), key=lambda g: g[0])
-    for text, m, (min_total, *min_per) in in_scope:
-        mc = transition_counts(m)
-        if mc.total != min_total:
-            bad.append(
-                f"total transitions: the minimal DFA has {mc.total}, "
-                f"but {min_total} are achievable for:\n{text}"
-            )
-        for sym, least in zip(alphabet, min_per):
-            if mc.per_symbol[sym] != least:
+    names = ["total ", *(f"{sym!r}-" for sym in alphabet)]
+    for text, _, counts, least in sorted(groups.values(), key=lambda g: g[0]):
+        for name, has, achievable in zip(names, counts, least):
+            if has != achievable:
                 bad.append(
-                    f"{sym!r}-transitions: the minimal DFA has {mc.per_symbol[sym]}, "
-                    f"but {least} are achievable for:\n{text}"
+                    f"{name}transitions: the minimal DFA has {has}, "
+                    f"but {achievable} are achievable for:\n{text}"
                 )
     return Lemma1Report(
         max_states=max_states,
         alphabet=alphabet,
         dfas_checked=checked,
-        languages=len(in_scope),
+        languages=len(groups),
         counterexamples=tuple(bad),
     )

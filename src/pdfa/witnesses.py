@@ -10,13 +10,13 @@ transitions.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .core import Alphabet, PartialDfa, _undefined_table
 
 
 def union_symbol_witness(
-    n: int, k: int, b: str = "b", c: str = "c", alphabet: Alphabet | None = None
+    n: int, k: int, b: str = "b", c: str = "c", alphabet: Iterable[str] | None = None
 ) -> PartialDfa:
     """Cycle of n states on ``c`` with ``b``-self-loops on states 0..k-1.
 
@@ -28,7 +28,7 @@ def union_symbol_witness(
 
 
 def union_multi_witness(
-    n: int, k_map: Mapping[str, int] = {}, c: str = "c", alphabet: Alphabet | None = None
+    n: int, k_map: Mapping[str, int] = {}, c: str = "c", alphabet: Iterable[str] | None = None
 ) -> PartialDfa:
     """One c-cycle with self-loop prefixes per symbol: the construction
     behind ``union_symbol_witness``, ``union_total_witness`` and
@@ -45,7 +45,7 @@ def union_multi_witness(
             raise ValueError(f"self-loop symbol {d!r} clashes with the cycle symbol")
         if not 1 <= loops < n:
             raise ValueError(f"symbol {d!r}: need 1 <= k < n, got k={loops}, n={n}")
-    alphabet = alphabet or Alphabet(sorted({c, *k_map}))
+    alphabet = Alphabet(sorted({c, *k_map}) if alphabet is None else alphabet)
     for d in (c, *k_map):
         if d not in alphabet:
             raise ValueError(f"symbol {d!r} must be in the alphabet")
@@ -61,7 +61,7 @@ def union_multi_witness(
 
 
 def union_total_witness(
-    n: int, loop_sym: str = "a", cycle_sym: str = "c", alphabet: Alphabet | None = None
+    n: int, loop_sym: str = "a", cycle_sym: str = "c", alphabet: Iterable[str] | None = None
 ) -> PartialDfa:
     """Recognizer of (loop_sym | cycle_sym^n)*: one cycle plus one loop.
 
@@ -80,11 +80,11 @@ def unary_cycle(n: int) -> PartialDfa:
     return union_multi_witness(n, {}, "b")
 
 
-def unary_singleton(n: int, alphabet: Alphabet | None = None) -> PartialDfa:
+def unary_singleton(n: int, alphabet: Iterable[str] | None = None) -> PartialDfa:
     """The singleton language {b^n}: a chain of n+1 states, last accepting."""
     if n < 1:
         raise ValueError(f"word length must be at least 1, got {n}")
-    alphabet = alphabet or Alphabet(("b",))
+    alphabet = Alphabet(("b",) if alphabet is None else alphabet)
     if "b" not in alphabet:
         raise ValueError("alphabet must contain 'b'")
     k, j = len(alphabet), alphabet.index("b")
@@ -94,7 +94,7 @@ def unary_singleton(n: int, alphabet: Alphabet | None = None) -> PartialDfa:
     return PartialDfa(alphabet, n + 1, 0, frozenset({n}), table)
 
 
-def chain_star_witness(m: int, alphabet: Alphabet | None = None) -> PartialDfa:
+def chain_star_witness(m: int, alphabet: Iterable[str] | None = None) -> PartialDfa:
     """Recognizer of a* b^(m-1): an a-loop on the start, then a b-chain.
 
     Has m transitions in total (1 loop + m-1 chain edges); m = 1
@@ -102,7 +102,7 @@ def chain_star_witness(m: int, alphabet: Alphabet | None = None) -> PartialDfa:
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    alphabet = alphabet or Alphabet(("a", "b"))
+    alphabet = Alphabet(("a", "b") if alphabet is None else alphabet)
     if "a" not in alphabet or "b" not in alphabet:
         raise ValueError("alphabet must contain 'a' and 'b'")
     k, a, b = len(alphabet), alphabet.index("a"), alphabet.index("b")
@@ -113,9 +113,9 @@ def chain_star_witness(m: int, alphabet: Alphabet | None = None) -> PartialDfa:
     return PartialDfa(alphabet, m, 0, frozenset({m - 1}), table)
 
 
-def epsilon_lang(alphabet: Alphabet | None = None) -> PartialDfa:
+def epsilon_lang(alphabet: Iterable[str] | None = None) -> PartialDfa:
     """Recognizer of {empty word}: one accepting state, no transitions."""
-    alphabet = alphabet or Alphabet(("a", "b"))
+    alphabet = Alphabet(("a", "b") if alphabet is None else alphabet)
     return PartialDfa(alphabet, 1, 0, frozenset({0}), [-1] * len(alphabet))
 
 

@@ -26,6 +26,18 @@ MALFORMED = {
         (["a", "a"], 2, 0, {1}, (1, -1, -1, -1)),
         "alphabet symbols must be distinct",
     ),
+    "float-state-count": (
+        (ALPHA[2], 2.0, 0, {1}, (1, -1, -1, -1)),
+        "state count must be an int, got 2.0",
+    ),
+    "bool-start": (
+        (ALPHA[2], 2, True, {1}, (1, -1, -1, -1)),
+        "start state must be an int, got True",
+    ),
+    "float-accepting-and-target": (
+        (ALPHA[2], 2, 0, {1.0}, (1.0, -1, -1, -1)),
+        r"accepting state 1.0 is not an int; transition \(0, 'a'\) -> 1.0: target is not an int$",
+    ),
 }
 
 

@@ -70,10 +70,12 @@ def test_closed_form_values():
 
 
 def test_union_polynomial_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        union_state_upper(-1, 3)
-    with pytest.raises(ValueError):
-        union_state_upper(2, -1)
+    # the union's total bounds are the one polynomial, so they reject what it rejects
+    for bound in (union_state_upper, union_total_upper, union_total_lower):
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            bound(-1, 3)
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            bound(2, -1)
 
 
 def test_unary_bound_guards_small_inputs():

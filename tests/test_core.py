@@ -84,6 +84,18 @@ def test_validate_collects_every_violation():
     assert str(again.value) == text
 
 
+def test_the_constructor_lists_every_part_that_is_not_an_int():
+    # each would render as text that parse_dfa rejects: `states 2.0`, `start True`, `accept 1.0`
+    with pytest.raises(ValueError) as exc:
+        PartialDfa(Alphabet("ab"), 2.0, True, {1.0, 5}, (1.0, 7, -1.0, False))
+    assert str(exc.value) == (
+        "malformed DFA: state count must be an int, got 2.0; start state must be an int, got True; "
+        "accepting state 1.0 is not an int; accepting state 5 out of range 0..1.0; "
+        "transition (0, 'a') -> 1.0: target is not an int; transition (0, 'b') -> 7: target out of range; "
+        "transition (1, 'a') -> -1.0: target is not an int; transition (1, 'b') -> False: target is not an int"
+    )
+
+
 def test_the_constructor_rejects_a_machine_of_no_states():
     with pytest.raises(ValueError) as exc:
         PartialDfa(Alphabet("ab"), 0, 0, (), ())

@@ -23,6 +23,7 @@ from pdfa import (
     render_dfa,
 )
 from pdfa.oracle import (
+    OracleResult,
     _all_dfas,
     _canonical_tables,
     _indicator,
@@ -208,6 +209,20 @@ def test_brute_min_on_loop_cycle_witness():
     assert pair_equivalent(res.witness_dfa, union_symbol_witness(3, 1))
 
 
+def test_brute_min_pins_its_whole_result_over_three_symbols():
+    """(b | aa)* over {a, b, c}, written with a copy of its start state: the
+    minima come keyed in alphabet order, and the witness is the first equivalent machine with the
+    least total, the canonical minimal DFA."""
+    abc = Alphabet("abc")
+    res = brute_min_transitions(PartialDfa(abc, 3, 0, {0, 2}, (1, 0, -1, 2, -1, -1, 1, 2, -1)))
+    assert res == OracleResult(
+        min_total=3,
+        min_per_symbol={"a": 2, "b": 1, "c": 0},
+        witness_dfa=PartialDfa(abc, 2, 0, {0}, (1, 0, -1, 0, -1, -1)),
+    )
+    assert list(res.min_per_symbol) == ["a", "b", "c"]
+
+
 def test_brute_min_rejects_too_small_state_budget():
     with pytest.raises(ValueError):
         brute_min_transitions(union_symbol_witness(3, 1), max_states=2)
@@ -254,6 +269,20 @@ def test_lemma1_unary_sweep_is_clean():
 def test_lemma1_rejects_a_sweep_of_no_states(max_states):
     with pytest.raises(ValueError, match=f"max_states must be at least 1, got {max_states}$"):
         verify_lemma1(max_states, Alphabet("ab"))
+
+
+@pytest.mark.parametrize("empty", ["", []])
+def test_lemma1_rejects_an_empty_alphabet(empty):
+    with pytest.raises(ValueError, match="^alphabet must not be empty$"):
+        verify_lemma1(1, empty)
+
+
+@pytest.mark.parametrize("symbols", ["ab", ["a", "b"]])
+def test_lemma1_reports_an_alphabet_given_as_a_sequence_as_its_alphabet(symbols):
+    report = verify_lemma1(1, symbols)
+    assert type(report.alphabet) is Alphabet
+    assert report == verify_lemma1(1, Alphabet("ab"))
+    assert hash(report) == hash(verify_lemma1(1, Alphabet("ab")))
 
 
 @pytest.mark.parametrize("symbols, max_states", [("b", 14), ("ab", 4), ("abc", 3)])
@@ -387,6 +416,36 @@ def test_lemma1_reports_a_first_machine_with_moves_its_language_does_not_need(mo
         "minimize() is not the minimal DFA of:\n" + render_dfa(later),
         "total transitions: the minimal DFA has 2, but 1 are achievable for:\n" + text,
         "'a'-transitions: the minimal DFA has 1, but 0 are achievable for:\n" + text,
+    )
+
+
+def test_lemma1_reports_every_count_a_first_machine_loses_in_rendering_order(monkeypatch):
+    """Two languages, {ε} then ∅, whose first machines each carry an 'a'- and
+    a 'b'-move into a dead state that a later machine of the same size leaves
+    out: each loses the total and both symbols, and the Lemma-1 messages come
+    after the minimizer's, by rendering (∅'s bare accept line sorts first)."""
+    import pdfa.oracle as oracle_mod
+
+    alphabet = Alphabet("ab")
+    stream = [
+        PartialDfa(alphabet, 2, 0, {0}, (1, 1, -1, -1)),
+        PartialDfa(alphabet, 2, 0, set(), (1, 1, -1, -1)),
+        PartialDfa(alphabet, 2, 0, {0}, (-1, -1, -1, -1)),
+        PartialDfa(alphabet, 2, 0, set(), (-1, -1, -1, -1)),
+    ]
+    monkeypatch.setattr(oracle_mod, "_all_dfas", lambda max_states, alphabet: iter(stream))
+    report = oracle_mod.verify_lemma1(2, alphabet)
+    epsilon, empty = render_dfa(stream[0]), render_dfa(stream[1])
+    assert empty < epsilon
+    assert report.languages == 2
+    assert report.counterexamples == (
+        *("minimize() is not the minimal DFA of:\n" + render_dfa(d) for d in stream),
+        "total transitions: the minimal DFA has 2, but 0 are achievable for:\n" + empty,
+        "'a'-transitions: the minimal DFA has 1, but 0 are achievable for:\n" + empty,
+        "'b'-transitions: the minimal DFA has 1, but 0 are achievable for:\n" + empty,
+        "total transitions: the minimal DFA has 2, but 0 are achievable for:\n" + epsilon,
+        "'a'-transitions: the minimal DFA has 1, but 0 are achievable for:\n" + epsilon,
+        "'b'-transitions: the minimal DFA has 1, but 0 are achievable for:\n" + epsilon,
     )
 
 

@@ -152,3 +152,31 @@ def test_all_witnesses_pass_validation():
     for d in samples:
         assert parse_dfa(render_dfa(d)) == d  # the text entry point's checks accept it too
         assert minimize(d) == d  # every family builds its own minimal DFA
+
+
+_GIVEN_ALPHABET = {
+    "union-symbol": lambda alphabet: union_symbol_witness(3, 1, alphabet=alphabet),
+    "union-multi": lambda alphabet: union_multi_witness(3, {"b": 1}, alphabet=alphabet),
+    "union-total": lambda alphabet: union_total_witness(3, "b", "c", alphabet=alphabet),
+    "unary-singleton": lambda alphabet: unary_singleton(2, alphabet=alphabet),
+    "chain-star": lambda alphabet: chain_star_witness(2, alphabet=alphabet),
+    "epsilon": lambda alphabet: epsilon_lang(alphabet=alphabet),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_GIVEN_ALPHABET))
+@pytest.mark.parametrize("empty", ["", [], ()])
+def test_an_empty_alphabet_is_rejected_not_replaced_by_the_default(family, empty):
+    with pytest.raises(ValueError, match="^alphabet must not be empty$"):
+        _GIVEN_ALPHABET[family](empty)
+
+
+@pytest.mark.parametrize("family", sorted(_GIVEN_ALPHABET))
+def test_an_alphabet_given_as_a_sequence_is_the_alphabet_of_its_symbols(family):
+    build = _GIVEN_ALPHABET[family]
+    for symbols in ("abc", ["a", "b", "c"]):
+        d = build(symbols)
+        assert type(d.alphabet) is Alphabet
+        assert d == build(Alphabet("abc"))
+    with pytest.raises(ValueError, match="^alphabet symbols must be distinct$"):
+        build("abca")
