@@ -125,8 +125,8 @@ def _moves(alphabet: Alphabet, table: tuple[int, ...]) -> Iterator[tuple[int, st
 
 
 def _malformed(alphabet, n, start, accepting, table) -> ValueError:
-    """The error for a malformed machine, listing every violation among
-    its states and its table's ``(src, symbol, dst)`` entries."""
+    """The error for a malformed machine, listing every violation among its
+    states (numbers in order, then other parts by repr) and table entries."""
     bad: list[str] = []
     if type(n) is not int:
         bad.append(f"state count must be an int, got {n!r}")
@@ -136,7 +136,7 @@ def _malformed(alphabet, n, start, accepting, table) -> ValueError:
         bad.append(f"start state must be an int, got {start!r}")
     elif not 0 <= start < n:
         bad.append(f"start state {start} out of range 0..{n - 1}")
-    for q in sorted(accepting):
+    for q in sorted(accepting, key=lambda q: (0, q) if isinstance(q, (int, float)) else (1, repr(q))):
         if type(q) is not int:
             bad.append(f"accepting state {q!r} is not an int")
         elif not 0 <= q < n:

@@ -82,14 +82,15 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
     Refines the live (reachable, co-accessible) states by Hopcroft's
     algorithm; a move into a dead state counts as undefined, and every
     initial block is queued (Valmari and Lehtinen's rule, which stands in
-    for the dead state).  Later splits queue only their smaller half:
-    O(m log n) work for m defined moves.  Refinement stops early once
-    every block is a single state.  ``search``, when given, is what
-    ``_search`` returns for ``dfa``'s table, start and symbol count, so
-    machines on one table can share it.  The result has the fewest states
-    and, per symbol, the fewest moves.
-    When ``dfa`` is already that machine (start 0, no state merged or
-    dropped, numbering canonical) it is returned itself, not a copy.
+    for the dead state).  A split keeps the larger half in the old block
+    and queues the smaller: O(m log n) work for m defined moves.  A pop
+    costs O(k) when its splitter is one state with at most one source
+    per symbol, as most pops on a large machine are; refinement still
+    stops early once every block is a single state.  ``search``, when
+    given, is ``_search``'s result for ``dfa``'s table, start and symbol
+    count, which machines on one table can share.  The result has the
+    fewest states and, per symbol, the fewest moves; it is ``dfa`` itself
+    when ``dfa`` is that machine (start 0, numbering canonical).
     """
     k, delta, start = len(dfa.alphabet), dfa.table, dfa.start
     order, pre, canonical = search or _search(delta, start, k)  # read only: callers share it
@@ -110,30 +111,39 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
         return dfa if dfa == empty else empty
 
     blocks = [set(live[:final]), set(live[final:])] if final < len(live) else [set(live)]
-    waiting = list(range(len(blocks)))  # LIFO
-    queued = [True] * len(blocks)
+    waiting = list(range(len(blocks)))  # LIFO; a block keeps its place when it splits
     while waiting and len(blocks) < len(live):
-        b = waiting.pop()
-        queued[b] = False
-        splitter = list(blocks[b])
+        splitter = list(blocks[waiting.pop()])  # the block may split below
         for into in pre:
+            # s is reachable and moves into a live state, so it is live: block[s] >= 0
+            if len(splitter) == 1 and len(into[splitter[0]]) < 2:
+                for s in into[splitter[0]]:  # alone, s is the smaller half: split it off
+                    if len(blocks[block[s]]) > 1:  # a one-state block cannot split
+                        blocks[block[s]].remove(s)
+                        block[s] = len(blocks)
+                        waiting.append(len(blocks))
+                        blocks.append({s})
+                continue
             hit: dict[int, list[int]] = {}
             for t in splitter:
-                # s is reachable and moves into a live state, so it is live: block[s] >= 0
                 for s in into[t]:
-                    hit.setdefault(block[s], []).append(s)
+                    c = block[s]
+                    if c in hit:
+                        hit[c].append(s)
+                    elif len(blocks[c]) > 1:
+                        hit[c] = [s]
             for c, moved in hit.items():
                 rest = blocks[c]
                 if len(moved) < len(rest):
                     rest.difference_update(moved)
+                    moved = set(moved)
+                    if len(moved) > len(rest):  # the new block, queued, is the smaller half
+                        blocks[c], moved = moved, rest
                     new = len(blocks)
                     for s in moved:
                         block[s] = new
-                    blocks.append(set(moved))
-                    queued.append(False)
-                    push = new if queued[c] or len(moved) <= len(rest) else c
-                    queued[push] = True
-                    waiting.append(push)
+                    waiting.append(new)
+                    blocks.append(moved)
 
     if len(blocks) == dfa.state_count and canonical:
         return dfa  # every state is its own block, numbered as the BFS numbers it

@@ -38,6 +38,11 @@ MALFORMED = {
         (ALPHA[2], 2, 0, {1.0}, (1.0, -1, -1, -1)),
         r"accepting state 1.0 is not an int; transition \(0, 'a'\) -> 1.0: target is not an int$",
     ),
+    # parts of types that do not compare: numbers first, in order, then the rest by repr
+    "mixed-type-accepting": (
+        (ALPHA[2], 2, 0, {0, None, "x"}, (1, -1, -1, -1)),
+        "^malformed DFA: accepting state 'x' is not an int; accepting state None is not an int$",
+    ),
 }
 
 

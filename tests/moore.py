@@ -5,8 +5,8 @@ partition to Nerode classes one distinguishing depth per round (Moore,
 "Gedanken-experiments on sequential machines", 1956), delete the dead
 class, renumber canonically.  It shares no code with ``minimize``, which
 never builds a sink: the trimming and renumbering below are its own.  It
-is quadratic on long chains and cycles, so tests run it on machines of
-at most a few hundred states.
+is quadratic on long chains and cycles, which take one round per state;
+each round reads a row of successors built once.
 """
 
 from __future__ import annotations
@@ -109,12 +109,13 @@ def moore_minimize(dfa: PartialDfa) -> PartialDfa:
     step = moves(complete)
 
     n = complete.state_count
+    rows = [[step[(q, sym)] for sym in complete.alphabet] for q in range(n)]
     cls = [1 if q in complete.accepting else 0 for q in range(n)]
     while True:
         remap: dict[tuple, int] = {}
         new = []
         for q in range(n):
-            sig = (cls[q], tuple(cls[step[(q, sym)]] for sym in complete.alphabet))
+            sig = (cls[q], *map(cls.__getitem__, rows[q]))
             if sig not in remap:
                 remap[sig] = len(remap)
             new.append(remap[sig])

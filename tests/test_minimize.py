@@ -5,6 +5,7 @@ from pdfa import (
     Alphabet,
     PartialDfa,
     canonicalize,
+    complement,
     complexity,
     empty_language_dfa,
     equivalent,
@@ -288,7 +289,9 @@ def test_minimize_matches_moore(d):
 
 
 def _large_products():
-    """Union products and cycle intersections of up to ~300 states."""
+    """Union products and cycle intersections of up to ~300 states, then the
+    benchmark's four machines at full size, where nearly every state ends in
+    a block of its own, and a cycle product whose 864 states merge to 72."""
     yield union_product(union_symbol_witness(12, 5), union_symbol_witness(13, 7))
     yield union_product(union_total_witness(9), union_total_witness(14))
     yield union_product(unary_cycle(12), unary_singleton(20))
@@ -297,6 +300,11 @@ def _large_products():
     for a, b in sample_pairs(seed=5, count=40, max_states=6):
         yield union_product(a, b)
         yield intersection_product(a, b)
+    yield union_product(union_symbol_witness(60, 9), union_symbol_witness(61, 37))  # 3,782 states
+    yield intersection_product(unary_cycle(31), unary_cycle(37))
+    yield unary_singleton(1200)
+    yield complement(unary_singleton(800))
+    yield intersection_product(unary_cycle(24), unary_cycle(36))
 
 
 def test_minimize_matches_moore_on_large_products():

@@ -21,6 +21,7 @@ from pdfa import (
     minimize,
     pair_equivalent,
     render_dfa,
+    transition_counts,
 )
 from pdfa.oracle import (
     OracleResult,
@@ -250,11 +251,13 @@ def test_brute_min_rejects_a_language_past_the_enumeration_cap():
     )
 
 
-def test_per_symbol_minima_can_beat_any_single_machine():
-    # min_per_symbol folds over all equivalent machines independently,
-    # so it is a lower bound for every individual recognizer.
+def test_one_machine_attains_every_per_symbol_minimum():
+    """min_per_symbol folds over all equivalent machines independently, yet
+    Lemma 1 says the minimal DFA attains every minimum at once: the minima
+    sum to min_total, and the witness meets each of them."""
     res = brute_min_transitions(union_symbol_witness(3, 1))
-    assert sum(res.min_per_symbol.values()) <= res.min_total
+    assert sum(res.min_per_symbol.values()) == res.min_total == 4
+    assert transition_counts(res.witness_dfa).per_symbol == res.min_per_symbol
 
 
 def test_lemma1_unary_sweep_is_clean():
