@@ -43,6 +43,11 @@ MALFORMED = {
         (ALPHA[2], 2, 0, {0, None, "x"}, (1, -1, -1, -1)),
         "^malformed DFA: accepting state 'x' is not an int; accepting state None is not an int$",
     ),
+    # parts that are not numbers come by repr even where they compare: "(10,)" < "(9,)"
+    "tuple-accepting": (
+        (ALPHA[2], 2, 0, {(9,), (10,)}, (1, -1, -1, -1)),
+        r"^malformed DFA: accepting state \(10,\) is not an int; accepting state \(9,\) is not an int$",
+    ),
 }
 
 
