@@ -15,7 +15,8 @@ that is not EQUAL, or has a note, is flagged and renders its machines):
 
 Measured tc/sc values always come from the minimal DFA: a witness row
 takes them from ``complexity()``, which also returns the machine it
-renders, and a sampled row counts the moves of ``minimize``'s output.
+renders (a row with a premise on its witnesses' tc takes them through
+``_measured``), and a sampled row counts the moves of ``minimize``'s output.
 Raw construction counts are only compared where the claim is about the
 construction itself (the per-symbol union prediction and the
 intersection product law).
@@ -338,24 +339,22 @@ def _union_sc_tight(n1: int, n2: int, k1: int = 1, k2: int = 1) -> Outcome:
     return formula, r.sc, _relation(r.sc, formula), "", (r.minimal,)
 
 
-def _union_total_pair(n1: int, n2: int) -> tuple[int, int, ComplexityReport]:
-    """tc of both minimal-total witnesses, and the measured union;
-    measured once for the rows of a group that take it (union-total-tight and
-    union-cycle-upper)."""
+def _measured(op: Callable[..., PartialDfa], *witnesses: PartialDfa) -> tuple[list[int], ComplexityReport]:
+    """The tc of each witness, then the measured ``op`` of them: a row's premise and its result."""
+    return [complexity(w).tc for w in witnesses], complexity(op(*witnesses))
 
-    def measure():
-        w1 = union_total_witness(n1, "a", "c", alphabet=_ABC)
-        w2 = union_total_witness(n2, "b", "c", alphabet=_ABC)
-        t1 = complexity(w1).tc
-        t2 = complexity(w2).tc
-        return t1, t2, complexity(union_product(w1, w2))
 
-    return _kept(("total", n1, n2), measure)
+def _union_total_pair(n1: int, n2: int) -> tuple[list[int], ComplexityReport]:
+    """tc of both minimal-total witnesses, and the measured union; measured once
+    for the rows of a group that take it (union-total-tight and union-cycle-upper)."""
+    return _kept(("total", n1, n2), lambda: _measured(
+        union_product, union_total_witness(n1, "a", "c", alphabet=_ABC),
+        union_total_witness(n2, "b", "c", alphabet=_ABC)))
 
 
 @_claim("union-total-tight", coprime=True)
 def _union_total_tight(n1: int, n2: int) -> Outcome:
-    t1, t2, r = _union_total_pair(n1, n2)
+    (t1, t2), r = _union_total_pair(n1, n2)
     formula = union_total_lower(t1, t2)
     premise = (t1, t2) == (n1 + 1, n2 + 1)
     note = "" if premise else f"witness premise failed: tc inputs ({t1}, {t2}) != ({n1 + 1}, {n2 + 1})"
@@ -364,7 +363,7 @@ def _union_total_tight(n1: int, n2: int) -> Outcome:
 
 @_claim("union-cycle-upper")
 def _union_cycle_upper(n1: int, n2: int) -> Outcome:
-    t1, t2, r = _union_total_pair(n1, n2)
+    (t1, t2), r = _union_total_pair(n1, n2)
     formula = union_total_lower(t1, t2)
     # an upper bound in general, claimed tight on coprime pairs
     coprime = math.gcd(n1, n2) == 1
@@ -383,9 +382,8 @@ def _intersection_tight(n1: int, n2: int) -> Outcome:
 def _complement_tight(n: int, sigma: int = 2) -> Outcome:
     if not 1 <= sigma <= 3:
         raise ValueError(f"sigma must be 1..3, got {sigma}")
-    w = unary_singleton(n, alphabet=Alphabet("abc"[:sigma]))
-    t = complexity(w).tc
-    r = complexity(complement(w))
+    # the singleton's word is over b, so one symbol is {b}
+    (t,), r = _measured(complement, unary_singleton(n, alphabet=("b", "ab", "abc")[sigma - 1]))
     formula = complement_upper(sigma, t)
     note = "" if t == n else f"witness premise failed: tc of the singleton is {t}, expected {n}"
     return formula, r.tc, _relation(r.tc, formula, failed=t != n), note, (r.minimal,)
@@ -397,11 +395,7 @@ def _unary_tight(n1: int, n2: int) -> Outcome:
         raise ValueError(
             f"the unary tightness claim is stated for n1 >= 3 and n2 >= 2, got ({n1}, {n2})"
         )
-    w1 = unary_cycle(n1)
-    w2 = unary_cycle(n2)
-    t1 = complexity(w1).tc
-    t2 = complexity(w2).tc
-    r = complexity(union_product(w1, w2))
+    (t1, t2), r = _measured(union_product, unary_cycle(n1), unary_cycle(n2))
     formula = unary_union_upper(t1, t2)
     return formula, r.tc, _relation(r.tc, formula), "", (r.minimal,)
 
@@ -441,11 +435,8 @@ def _unary_exception(n: int) -> Outcome:
 
 @_claim("conjecture-small")
 def _conjecture_small(m: int) -> Outcome:
-    eps = epsilon_lang(alphabet=_AB)
-    chain = chain_star_witness(m, alphabet=_AB)
-    t_eps = complexity(eps).tc
-    t_chain = complexity(chain).tc
-    r = complexity(union_product(eps, chain))
+    (t_eps, t_chain), r = _measured(union_product, epsilon_lang(alphabet=_AB),
+                                    chain_star_witness(m, alphabet=_AB))
     expected = m + 2 if m >= 2 else 1  # m = 1: a* union {eps} is just a*
     conjectured = union_state_upper(t_eps, t_chain)
     premise = t_eps == 0 and t_chain == m
@@ -474,16 +465,9 @@ def _random_suite(per_pair: Callable, require_incomplete: bool, pairs: int = DEF
     if pairs < 1:
         raise ValueError(f"need at least one pair, got {pairs}")
     key = (seed, pairs, max_states, require_incomplete)
-    sample = _kept(key, lambda: sample_pairs(*key))
-    worst: tuple[int, int, int, tuple[PartialDfa, PartialDfa]] | None = None
-    violations = 0
-    for a, b in sample:
-        measured, formula, bad = per_pair(a, b)
-        violations += bad
-        if worst is None or measured - formula > worst[0]:
-            worst = (measured - formula, measured, formula, (a, b))
-    assert worst is not None
-    _margin, measured, formula, worst_pair = worst
+    checked = [(*per_pair(*pair), pair) for pair in _kept(key, lambda: sample_pairs(*key))]
+    measured, formula, _bad, worst_pair = max(checked, key=lambda c: c[0] - c[1])
+    violations = sum(c[2] for c in checked)
     note = f"pairs={pairs} violations={violations}; values are the worst pair's"
     relation = _relation(measured, formula, tight=False, failed=violations > 0)
     return formula, measured, relation, note, worst_pair

@@ -72,7 +72,11 @@ class PartialDfa:
                  accepting: Iterable[int], table: Iterable[int]):
         if type(alphabet) is not Alphabet:
             alphabet = Alphabet(alphabet)
-        n, accepting, table = state_count, frozenset(accepting), tuple(table)
+        n, table = state_count, tuple(table)
+        try:
+            accepting = frozenset(accepting)
+        except TypeError:  # an unhashable part is no int (an iterator loses it to frozenset)
+            raise _malformed(alphabet, n, start, accepting, table) from None
         if len(table) != n * len(alphabet):
             raise ValueError(f"malformed DFA: table length {len(table)} is not "
                              f"{n} states times {len(alphabet)} symbols")
@@ -147,7 +151,7 @@ def _malformed(alphabet, n, start, accepting, table) -> ValueError:
             bad.append(f"transition ({src}, {sym!r}) -> {dst!r}: target is not an int")
         elif not -1 <= dst < n:
             bad.append(f"transition ({src}, {sym!r}) -> {dst}: target out of range")
-    return ValueError("malformed DFA: " + "; ".join(bad))
+    return ValueError("malformed DFA: " + ("; ".join(bad) or "an accepting state is not hashable"))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,8 @@ def union_multi_witness(
             raise ValueError(f"self-loop symbol {d!r} clashes with the cycle symbol")
         if not 1 <= loops < n:
             raise ValueError(f"symbol {d!r}: need 1 <= k < n, got k={loops}, n={n}")
-    alphabet = Alphabet(sorted({c, *k_map}) if alphabet is None else alphabet)
+    # by str, so that Alphabet, not sorted, rejects a symbol that is not a str
+    alphabet = Alphabet(sorted({c, *k_map}, key=str) if alphabet is None else alphabet)
     for d in (c, *k_map):
         if d not in alphabet:
             raise ValueError(f"symbol {d!r} must be in the alphabet")

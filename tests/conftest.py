@@ -48,6 +48,15 @@ MALFORMED = {
         (ALPHA[2], 2, 0, {(9,), (10,)}, (1, -1, -1, -1)),
         r"^malformed DFA: accepting state \(10,\) is not an int; accepting state \(9,\) is not an int$",
     ),
+    # parts that are not hashable, so frozenset cannot take them
+    "list-accepting": (
+        (ALPHA[2], 2, 0, [[1]], (1, -1, -1, -1)),
+        r"^malformed DFA: accepting state \[1\] is not an int$",
+    ),
+    "set-accepting": (
+        (ALPHA[2], 2, 0, [{1}, 5], (1, -1, -1, -1)),
+        r"^malformed DFA: accepting state 5 out of range 0..1; accepting state \{1\} is not an int$",
+    ),
 }
 
 

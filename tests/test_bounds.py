@@ -528,6 +528,56 @@ def test_each_verdict_branch_of_a_witness_row(bound_id, params, patches, verdict
     assert (rep.formula_value, rep.measured_value, rep.relation, rep.note) == verdict
 
 
+# (measured, formula, bad) per sampled pair, and the pair that must be reported
+@pytest.mark.parametrize("per_pair, worst, note", [
+    # margins 1, 3, 3, 2: the first of the two largest is the second pair
+    ([(11, 10, False), (13, 10, True), (23, 20, False), (12, 10, True)], 1,
+     "pairs=4 violations=2; values are the worst pair's"),
+    # every margin 0: the first pair
+    ([(5, 5, False), (7, 7, False), (9, 9, False), (3, 3, False)], 0,
+     "pairs=4 violations=0; values are the worst pair's"),
+], ids=["largest-margin", "tie"])
+def test_a_random_suite_reports_its_first_worst_pair(per_pair, worst, note, monkeypatch):
+    monkeypatch.setattr(pdfa.bounds, "_CLAIMS", dict(pdfa.bounds._CLAIMS))
+    outcomes = iter(per_pair)
+    pdfa.bounds._suite("stub-suite", lambda _a, _b: next(outcomes))
+    rep = check_bound("stub-suite", {"pairs": 4})
+    measured, formula, _bad = per_pair[worst]
+    assert (rep.formula_value, rep.measured_value, rep.note) == (formula, measured, note)
+    a, b = sample_pairs(DEFAULT_SEED, 4)[worst]
+    assert rep.details == f"{note}\n{render_dfa(a)}{render_dfa(b)}"
+
+
+# direct checks off the suite's grid: each report's line, note and SHA-256 of its details
+EMPTY = hashlib.sha256(b"").hexdigest()
+COUNTEREXAMPLE_5 = ("counterexample holds: measured 7 exceeds the conjectured bound 5, "
+                    "whose applicability needs tc >= 2 on both sides")
+
+
+@pytest.mark.parametrize("bound_id, params, line, note, detail_lines, digest", [
+    ("union-total-tight", {"n1": 5, "n2": 12},
+     "union-total-tight n1=5 n2=12 formula=96 measured=96 verdict=EQUAL", "", 0, EMPTY),
+    ("union-cycle-upper", {"n1": 6, "n2": 9},
+     "union-cycle-upper n1=6 n2=9 formula=86 measured=40 verdict=WITHIN_BOUND", "", 45,
+     "6726b95420d92440be8bdf2f3cddbe6ce49b37a500d7630ff6a43b22a393768a"),
+    ("complement-tight", {"n": 4, "sigma": 3},
+     "complement-tight n=4 sigma=3 formula=18 measured=18 verdict=EQUAL", "", 0, EMPTY),
+    ("conjecture-small", {"m": 5},
+     "conjecture-small m=5 formula=7 measured=7 verdict=EQUAL", COUNTEREXAMPLE_5, 12,
+     "d4a4ed10701789ac6de0190e295e4ab38cde675f734c5a7598769f51c79537e3"),
+    ("unary-tight", {"n1": 7, "n2": 4},
+     "unary-tight n1=7 n2=4 formula=28 measured=28 verdict=EQUAL", "", 0, EMPTY),
+    ("unary-tight", {"n1": 13, "n2": 2},
+     "unary-tight n1=13 n2=2 formula=26 measured=26 verdict=EQUAL", "", 0, EMPTY),
+], ids=["union-total-tight", "union-cycle-upper", "complement-tight", "conjecture-small",
+        "unary-tight-7-4", "unary-tight-13-2"])
+def test_a_witness_row_off_the_suite_grid_is_pinned(bound_id, params, line, note, detail_lines, digest):
+    rep = check_bound(bound_id, params)
+    assert (render_report_line(rep), rep.note) == (line, note)
+    assert len(rep.details.splitlines()) == detail_lines
+    assert hashlib.sha256(rep.details.encode()).hexdigest() == digest
+
+
 def test_a_direct_sampled_check_rejects_no_pairs():
     with pytest.raises(ValueError) as exc:
         check_bound("union-total-upper", {"pairs": 0})

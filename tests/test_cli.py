@@ -167,6 +167,13 @@ def test_witness_multi_loop_flags(capsys):
     assert transition_counts(d).per_symbol == {"a": 1, "b": 3, "c": 4}
 
 
+def test_witness_union_total_takes_its_symbol_flags(capsys):
+    assert main(["witness", "union-total", "--n", "3", "--loop-sym", "b", "--cycle-sym", "a"]) == 0
+    assert capsys.readouterr().out == (
+        "alphabet a b\nstates 3\nstart 0\naccept 0\n0 a 1\n0 b 0\n1 a 2\n2 a 0\n"
+    )
+
+
 def test_witness_rejects_out_of_range_parameters(capsys):
     assert main(["witness", "union-symbol", "--n", "3", "--k", "3"]) == 2
     assert "k" in capsys.readouterr().err
@@ -313,6 +320,18 @@ def test_check_single_bound_line_format(capsys):
     assert out == (
         "union-symbol-tight n1=2 n2=3 k1=1 k2=2 formula=8 measured=8 verdict=EQUAL\n"
     )
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["union-multi-tight", "--n1", "3", "--n2", "4", "--ka1", "2", "--kb1", "1", "--ka2", "1", "--kb2", "3"],
+     "union-multi-tight n1=3 n2=4 ka1=2 kb1=1 ka2=1 kb2=3 formula=26 measured=26 verdict=EQUAL"),
+    # over one symbol the singleton {b^3} and its complement are over {b}
+    (["complement-tight", "--n", "3", "--sigma", "1"],
+     "complement-tight n=3 sigma=1 formula=5 measured=5 verdict=EQUAL"),
+], ids=["union-multi-loop-counts", "complement-one-symbol"])
+def test_check_prints_the_line_of_a_row_given_each_flag(argv, line, capsys):
+    assert main(["check", *argv, "--format", "lines"]) == 0
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_check_unknown_bound_lists_every_row_in_registration_order(capsys):

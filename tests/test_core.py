@@ -96,6 +96,12 @@ def test_the_constructor_lists_every_part_that_is_not_an_int():
     )
 
 
+def test_an_unhashable_part_of_an_iterator_is_malformed_though_it_is_gone():
+    with pytest.raises(ValueError) as exc:
+        PartialDfa(Alphabet("a"), 2, 0, iter([[0]]), (1, -1))
+    assert str(exc.value) == "malformed DFA: an accepting state is not hashable"
+
+
 def test_the_constructor_rejects_a_machine_of_no_states():
     with pytest.raises(ValueError) as exc:
         PartialDfa(Alphabet("ab"), 0, 0, (), ())

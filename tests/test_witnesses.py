@@ -79,6 +79,15 @@ def test_union_multi_validation():
         union_multi_witness(0, {})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: union_multi_witness(3, {1: 1}),
+    lambda: union_symbol_witness(3, 1, b=1),
+], ids=["union-multi", "union-symbol"])
+def test_a_symbol_that_is_not_a_str_is_a_value_error_with_the_default_alphabet(build):
+    with pytest.raises(ValueError, match="^alphabet symbols must be single characters, got 1$"):
+        build()
+
+
 def test_union_total_language():
     for n in (2, 3, 4):
         d = union_total_witness(n)
