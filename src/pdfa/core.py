@@ -75,7 +75,7 @@ class PartialDfa:
         n, table = state_count, tuple(table)
         try:
             accepting = frozenset(accepting)
-        except TypeError:  # an unhashable part is no int (an iterator loses it to frozenset)
+        except TypeError:  # an unhashable part is not an int; from an iterator it is already consumed
             raise _malformed(alphabet, n, start, accepting, table) from None
         if len(table) != n * len(alphabet):
             raise ValueError(f"malformed DFA: table length {len(table)} is not "

@@ -323,7 +323,8 @@ def test_check_single_bound_line_format(capsys):
 
 
 @pytest.mark.parametrize("argv, line", [
-    (["union-multi-tight", "--n1", "3", "--n2", "4", "--ka1", "2", "--kb1", "1", "--ka2", "1", "--kb2", "3"],
+    (["union-multi-tight", "--n1", "3", "--n2", "4",
+      "--ka1", "2", "--kb1", "1", "--ka2", "1", "--kb2", "3"],
      "union-multi-tight n1=3 n2=4 ka1=2 kb1=1 ka2=1 kb2=3 formula=26 measured=26 verdict=EQUAL"),
     # over one symbol the singleton {b^3} and its complement are over {b}
     (["complement-tight", "--n", "3", "--sigma", "1"],
