@@ -10,6 +10,8 @@ language complexities.
 
 from __future__ import annotations
 
+from operator import add
+
 from .core import PartialDfa
 
 
@@ -34,31 +36,23 @@ def union_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
     """
     _check_same_alphabet(a, b)
     k = len(a.alphabet)
-    dead = (-1,) * k  # the dead slot's row: no move defined
-    ta, tb = a.table + dead, b.table + dead
     na, nb = a.state_count, b.state_count
-    pa = _padded_size(a)
-    pb = _padded_size(b)
-
-    def idx(p: int, q: int) -> int:
-        return p * pb + q
-
+    pa, pb = _padded_size(a), _padded_size(b)
+    # pair (p, q) sits at p * pb + q, so a pair's move is a's target times pb
+    # plus b's target; an undefined move goes to that side's dead slot
+    # (index == state_count), whose row is all undefined
+    ta = [na * pb if t < 0 else t * pb for t in a.table] + [na * pb] * (pa - na) * k
+    tb = [nb if t < 0 else t for t in b.table] + [nb] * (pb - nb) * k
     table = []
-    for p in range(pa):
-        for q in range(pb):
-            for j in range(k):
-                np, nq = ta[p * k + j], tb[q * k + j]
-                # both sides dead: the move stays undefined; one side dead
-                # sends that side to its dead slot (index == state_count)
-                table.append(-1 if np < 0 and nq < 0 else idx(na if np < 0 else np, nb if nq < 0 else nq))
-
+    for i in range(0, len(ta), k):  # a row of a against each of b's padded rows
+        table += map(add, ta[i:i + k] * pb, tb)
+    dead = na * pb + nb  # both sides dead: the move stays undefined
     accepting = frozenset(
-        idx(p, q)
-        for p in range(pa)
-        for q in range(pb)
-        if (p < na and p in a.accepting) or (q < nb and q in b.accepting)
+        [p * pb + q for p in a.accepting for q in range(pb)]
+        + [p * pb + q for p in range(pa) for q in b.accepting]
     )
-    return PartialDfa(a.alphabet, pa * pb, idx(a.start, b.start), accepting, table)
+    return PartialDfa(a.alphabet, pa * pb, a.start * pb + b.start, accepting,
+                      [-1 if t == dead else t for t in table])
 
 
 def intersection_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
@@ -98,5 +92,5 @@ def complement(a: PartialDfa) -> PartialDfa:
     """
     sink = a.state_count
     table = [sink if t < 0 else t for t in a.table] + [sink] * len(a.alphabet)
-    accepting = frozenset(q for q in range(a.state_count) if q not in a.accepting) | {sink}
+    accepting = frozenset(range(sink + 1)).difference(a.accepting)
     return PartialDfa(a.alphabet, sink + 1, a.start, accepting, table)

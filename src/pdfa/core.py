@@ -293,22 +293,27 @@ def parse_dfa(text: str) -> PartialDfa:
             raise DfaParseError(lineno, f"accepting state {q} out of range 0..{state_count - 1}")
         accepting.add(q)
 
+    k, column = len(alphabet), {sym: j for j, sym in enumerate(alphabet)}
     for lineno, raw in lines:
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
         if len(tokens) != 3:
             raise DfaParseError(lineno, f"transition line needs 'src symbol dst', got {len(tokens)} tokens")
-        src = want_int(tokens[0], lineno, "source state")
-        sym = tokens[1]
-        dst = want_int(tokens[2], lineno, "target state")
-        if sym not in alphabet:
+        src, sym, dst = tokens
+        try:
+            src, dst = int(src), int(dst)
+        except ValueError:  # want_int names the first end that is not an integer
+            want_int(src, lineno, "source state")
+            want_int(dst, lineno, "target state")
+        j = column.get(sym)
+        if j is None:
             raise DfaParseError(lineno, f"symbol {sym!r} not in alphabet")
         if not 0 <= src < state_count:
             raise DfaParseError(lineno, f"source state {src} out of range 0..{state_count - 1}")
         if not 0 <= dst < state_count:
             raise DfaParseError(lineno, f"target state {dst} out of range 0..{state_count - 1}")
-        slot = src * len(alphabet) + alphabet.index(sym)
+        slot = src * k + j
         if table[slot] != -1:
             raise DfaParseError(lineno, f"duplicate transition for state {src} on symbol {sym!r}")
         table[slot] = dst

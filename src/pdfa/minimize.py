@@ -92,11 +92,11 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
     fewest states and, per symbol, the fewest moves; it is ``dfa`` itself
     when ``dfa`` is that machine (start 0, numbering canonical).
     """
-    k, delta, start = len(dfa.alphabet), dfa.table, dfa.start
+    k, delta, start, accepting = len(dfa.alphabet), dfa.table, dfa.start, dfa.accepting
     order, pre, canonical = search or _search(delta, start, k)  # read only: callers share it
     # -1 dead or unreached (only reachable states are ever looked up), else the block
     block = [-1] * dfa.state_count
-    live = [q for q in order if q in dfa.accepting]  # block 0, then block 1
+    live = [*filter(accepting.__contains__, order)]  # block 0, then block 1
     final = len(live)
     for q in live:
         block[q] = 0
@@ -110,23 +110,31 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
         empty = empty_language_dfa(dfa.alphabet)
         return dfa if dfa == empty else empty
 
-    blocks = [set(live[:final]), set(live[final:])] if final < len(live) else [set(live)]
+    size = len(live)
+    blocks = [set(live[:final]), set(live[final:])] if final < size else [set(live)]
     waiting = list(range(len(blocks)))  # LIFO; a block keeps its place when it splits
-    while waiting and len(blocks) < len(live):
-        splitter = list(blocks[waiting.pop()])  # the block may split below
+    while waiting and len(blocks) < size:
+        splitter = blocks[waiting.pop()]
+        one = len(splitter) == 1
+        if one:
+            (t,) = splitter  # a one-state block never splits, so it need not be copied
+        else:
+            splitter = list(splitter)  # the block may split below
         for into in pre:
             # s is reachable and moves into a live state, so it is live: block[s] >= 0
-            if len(splitter) == 1 and len(into[splitter[0]]) < 2:
-                for s in into[splitter[0]]:  # alone, s is the smaller half: split it off
-                    if len(blocks[block[s]]) > 1:  # a one-state block cannot split
-                        blocks[block[s]].remove(s)
-                        block[s] = len(blocks)
-                        waiting.append(len(blocks))
-                        blocks.append({s})
-                continue
+            if one:
+                sources = into[t]
+                if len(sources) < 2:
+                    for s in sources:  # alone, s is the smaller half: split it off
+                        if len(blocks[block[s]]) > 1:  # a one-state block cannot split
+                            blocks[block[s]].remove(s)
+                            block[s] = len(blocks)
+                            waiting.append(len(blocks))
+                            blocks.append({s})
+                    continue
             hit: dict[int, list[int]] = {}
-            for t in splitter:
-                for s in into[t]:
+            for u in splitter:
+                for s in into[u]:
                     c = block[s]
                     if c in hit:
                         hit[c].append(s)
@@ -162,8 +170,7 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
                 i = number[c] = len(reps)
                 reps.append(t)
             table.append(i)
-    accepting = frozenset(i for i, q in enumerate(reps) if q in dfa.accepting)
-    return PartialDfa(dfa.alphabet, len(reps), 0, accepting, table)
+    return PartialDfa(dfa.alphabet, len(reps), 0, (i for i, q in enumerate(reps) if q in accepting), table)
 
 
 def complexity(dfa: PartialDfa) -> ComplexityReport:

@@ -254,7 +254,7 @@ def verify_lemma1(max_states: int, alphabet: Iterable[str]) -> Lemma1Report:
         else:
             first = g[1]
             g[3] = [*map(min, g[3], sizes)]
-        if m != first:
+        if m is not first and m != first:  # most machines are their own minimal DFA
             what = "is not the minimal DFA" if pair_equivalent(a, m) else "changed the language"
             bad.append(f"minimize() {what} of:\n" + render_dfa(a))
 

@@ -15,6 +15,12 @@ from typing import Callable, Iterable, Mapping
 from .core import Alphabet, PartialDfa, _undefined_table
 
 
+def _int(name: str, value) -> None:
+    """Reject a size or loop count that is not an ``int`` (a bool is not one)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def union_symbol_witness(
     n: int, k: int, b: str = "b", c: str = "c", alphabet: Iterable[str] | None = None
 ) -> PartialDfa:
@@ -24,6 +30,7 @@ def union_symbol_witness(
     accepting state.  Requires 1 <= k < n (with k = n the b-loops cover
     the whole cycle and the per-symbol tightness argument collapses).
     """
+    _int("k", k)
     return union_multi_witness(n, {b: k}, c, alphabet)
 
 
@@ -38,9 +45,11 @@ def union_multi_witness(
     so the d-transition count is exactly k_map[d].  An empty map gives
     the bare (c^n)* cycle.
     """
+    _int("n", n)
     if n < 1:
         raise ValueError(f"cycle length must be at least 1, got {n}")
     for d, loops in k_map.items():
+        _int(f"k_map[{d!r}]", loops)
         if d == c:
             raise ValueError(f"self-loop symbol {d!r} clashes with the cycle symbol")
         if not 1 <= loops < n:
@@ -71,6 +80,7 @@ def union_total_witness(
     has exactly n+1 transitions -- the family with minimal total
     transition count used for the union lower bound.
     """
+    _int("n", n)
     if n < 2:
         raise ValueError(f"cycle length must be at least 2, got {n}")
     return union_multi_witness(n, {loop_sym: 1}, cycle_sym, alphabet)
@@ -83,6 +93,7 @@ def unary_cycle(n: int) -> PartialDfa:
 
 def unary_singleton(n: int, alphabet: Iterable[str] | None = None) -> PartialDfa:
     """The singleton language {b^n}: a chain of n+1 states, last accepting."""
+    _int("n", n)
     if n < 1:
         raise ValueError(f"word length must be at least 1, got {n}")
     alphabet = Alphabet(("b",) if alphabet is None else alphabet)
@@ -101,6 +112,7 @@ def chain_star_witness(m: int, alphabet: Iterable[str] | None = None) -> Partial
     Has m transitions in total (1 loop + m-1 chain edges); m = 1
     degenerates to plain a*.
     """
+    _int("m", m)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     alphabet = Alphabet(("a", "b") if alphabet is None else alphabet)

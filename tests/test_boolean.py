@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from pdfa import (
     Alphabet,
@@ -221,3 +222,84 @@ def test_operations_reject_a_malformed_operand(defect):
     args, message = MALFORMED[defect]
     with pytest.raises(ValueError, match=message):
         PartialDfa(*args)
+
+
+# --- the constructions, rebuilt pair by pair from their docstrings ------------
+
+
+def _padded(dfa: PartialDfa) -> int:
+    return dfa.state_count + (0 if dfa.is_complete() else 1)
+
+
+def reference_union(a: PartialDfa, b: PartialDfa) -> PartialDfa:
+    """Pair (p, q) sits at p * pb + q; a side's undefined move goes to that
+    side's dead slot (index == its state count), and the (dead, dead) pair
+    keeps every move undefined."""
+    step_a, step_b = moves(a), moves(b)
+    na, nb, pb = a.state_count, b.state_count, _padded(b)
+    table, accepting = [], set()
+    for p in range(_padded(a)):
+        for q in range(pb):
+            if p in a.accepting or q in b.accepting:
+                accepting.add(p * pb + q)
+            for sym in a.alphabet:
+                np, nq = step_a.get((p, sym), na), step_b.get((q, sym), nb)
+                table.append(-1 if (np, nq) == (na, nb) else np * pb + nq)
+    return PartialDfa(a.alphabet, _padded(a) * pb, a.start * pb + b.start, accepting, table)
+
+
+def reference_intersection(a: PartialDfa, b: PartialDfa) -> PartialDfa:
+    """Pair (p, q) sits at p * nb + q; a move is defined iff both sides' are."""
+    step_a, step_b = moves(a), moves(b)
+    nb = b.state_count
+    table, accepting = [], set()
+    for p in range(a.state_count):
+        for q in range(nb):
+            if p in a.accepting and q in b.accepting:
+                accepting.add(p * nb + q)
+            for sym in a.alphabet:
+                np, nq = step_a.get((p, sym)), step_b.get((q, sym))
+                table.append(-1 if np is None or nq is None else np * nb + nq)
+    return PartialDfa(a.alphabet, a.state_count * nb, a.start * nb + b.start, accepting, table)
+
+
+def reference_complement(a: PartialDfa) -> PartialDfa:
+    """An accepting sink (index == state count) takes every undefined move
+    and loops on every symbol; every other state flips."""
+    step, sink = moves(a), a.state_count
+    table = [step.get((q, sym), sink) for q in range(sink + 1) for sym in a.alphabet]
+    accepting = {q for q in range(sink + 1) if q not in a.accepting}
+    return PartialDfa(a.alphabet, sink + 1, a.start, accepting, table)
+
+
+def _parts(dfa: PartialDfa) -> tuple:
+    return dfa.state_count, dfa.start, sorted(dfa.accepting), dfa.table
+
+
+def _completed(dfa: PartialDfa) -> PartialDfa:
+    """``dfa`` with every undefined move made a self-loop."""
+    k = len(dfa.alphabet)
+    table = [i // k if t < 0 else t for i, t in enumerate(dfa.table)]
+    return PartialDfa(dfa.alphabet, dfa.state_count, dfa.start, dfa.accepting, table)
+
+
+@given(dfa_pairs(max_states=4, alphabet_sizes=(1, 2, 3)), st.booleans(), st.booleans())
+def test_the_constructions_match_their_pair_by_pair_reference(pair, complete_a, complete_b):
+    a, b = pair
+    a, b = (_completed(a) if complete_a else a), (_completed(b) if complete_b else b)
+    assert _parts(union_product(a, b)) == _parts(reference_union(a, b))
+    assert _parts(intersection_product(a, b)) == _parts(reference_intersection(a, b))
+    assert _parts(complement(a)) == _parts(reference_complement(a))
+    assert _parts(complement(b)) == _parts(reference_complement(b))
+
+
+# the benchmark's large-machine operands: two union-symbol witnesses (one
+# pair of loop counts it draws), two coprime unary cycles and a long chain
+@pytest.mark.parametrize("op, operands, reference", [
+    (union_product, (union_symbol_witness(60, 9), union_symbol_witness(61, 37)), reference_union),
+    (intersection_product, (unary_cycle(31), unary_cycle(37)), reference_intersection),
+    (complement, (unary_singleton(800),), reference_complement),
+    (complement, (unary_cycle(31),), reference_complement),
+], ids=["union-60-61", "intersection-31-37", "complement-800", "complement-complete"])
+def test_the_constructions_match_their_reference_at_benchmark_size(op, operands, reference):
+    assert _parts(op(*operands)) == _parts(reference(*operands))

@@ -1,9 +1,11 @@
+import inspect
 import re
 
 import pytest
 
 from pdfa import Alphabet, complexity, minimize, parse_dfa, render_dfa
 from pdfa.witnesses import (
+    WITNESS_FAMILIES,
     chain_star_witness,
     epsilon_lang,
     unary_cycle,
@@ -189,3 +191,28 @@ def test_an_alphabet_given_as_a_sequence_is_the_alphabet_of_its_symbols(family):
         assert d == build(Alphabet("abc"))
     with pytest.raises(ValueError, match="^alphabet symbols must be distinct$"):
         build("abca")
+
+
+# valid arguments for each family that takes a size or a loop count
+_VALID = {
+    "union-symbol": {"n": 4, "k": 1},
+    "union-multi": {"n": 4, "k_map": {"a": 1}},
+    "union-total": {"n": 3},
+    "unary-cycle": {"n": 3},
+    "unary-singleton": {"n": 3},
+    "chain-star": {"m": 3},
+}
+
+
+@pytest.mark.parametrize("family, name", [
+    (family, name)
+    for family, build in WITNESS_FAMILIES.items()
+    for name, parameter in inspect.signature(build).parameters.items()
+    if "int" in parameter.annotation  # n, k, m, and k_map's loop counts
+])
+@pytest.mark.parametrize("value", [3.0, True, "3"], ids=["float", "bool", "str"])
+def test_a_size_that_is_not_an_int_is_a_value_error_naming_its_parameter(family, name, value):
+    args = dict(_VALID[family])
+    args[name], shown = ({"a": value}, "k_map['a']") if name == "k_map" else (value, name)
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)} must be an int, got {re.escape(repr(value))}$"):
+        WITNESS_FAMILIES[family](**args)
