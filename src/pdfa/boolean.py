@@ -61,24 +61,23 @@ def intersection_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
     A pair's move is defined iff both components' moves are, so the
     product's per-symbol transition count is exactly the product of the
     components' counts -- always, unlike the union's (see
-    ``bounds.union_symbol_upper``).
+    ``bounds.union_symbol_upper``).  Pair (p, q) sits at p * nb + q, so
+    each row of the product is a row of a, scaled by nb, added to every
+    row of b.  An undefined move on either side is ``void = -na*nb - 1``,
+    so every sum with it is negative and maps back to -1.  A sentinel of
+    -1 would alias: a's move into 1 plus b's -1 is nb - 1, a valid index.
     """
     _check_same_alphabet(a, b)
-    ta, tb = a.table, b.table
-    k = len(a.alphabet)
-    nb = b.state_count
-
-    def idx(p: int, q: int) -> int:
-        return p * nb + q
-
-    table = [
-        -1 if ta[p * k + j] < 0 or tb[q * k + j] < 0 else idx(ta[p * k + j], tb[q * k + j])
-        for p in range(a.state_count)
-        for q in range(nb)
-        for j in range(k)
-    ]
-    accepting = frozenset(idx(p, q) for p in a.accepting for q in b.accepting)
-    return PartialDfa(a.alphabet, a.state_count * nb, idx(a.start, b.start), accepting, table)
+    k, na, nb = len(a.alphabet), a.state_count, b.state_count
+    void = -na * nb - 1
+    ta = [void if t < 0 else t * nb for t in a.table]
+    tb = [void if t < 0 else t for t in b.table]
+    table = []
+    for i in range(0, len(ta), k):  # a row of a against each of b's rows
+        table += map(add, ta[i:i + k] * nb, tb)
+    accepting = frozenset(p * nb + q for p in a.accepting for q in b.accepting)
+    return PartialDfa(a.alphabet, na * nb, a.start * nb + b.start, accepting,
+                      [-1 if t < 0 else t for t in table])
 
 
 def complement(a: PartialDfa) -> PartialDfa:

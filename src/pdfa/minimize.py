@@ -76,6 +76,9 @@ def _search(table: tuple[int, ...], start: int, k: int) -> tuple[list[int], list
     return order, pre, order == list(range(len(order)))
 
 
+_ONE = (None,)  # the block of each one-state block split off: never split, so never written
+
+
 def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
     """The unique minimal partial DFA for the language, canonically numbered.
 
@@ -86,11 +89,14 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
     and queues the smaller: O(m log n) work for m defined moves.  A pop
     costs O(k) when its splitter is one state with at most one source
     per symbol, as most pops on a large machine are; refinement still
-    stops early once every block is a single state.  ``search``, when
-    given, is ``_search``'s result for ``dfa``'s table, start and symbol
-    count, which machines on one table can share.  The result has the
-    fewest states and, per symbol, the fewest moves; it is ``dfa`` itself
-    when ``dfa`` is that machine (start 0, numbering canonical).
+    stops early once every block is a single state.  A one-state block
+    is queued as its state, and every one split off shares one
+    placeholder block (it never splits), so splitting it off allocates
+    no set.  ``search``, when given, is ``_search``'s result for
+    ``dfa``'s table, start and symbol count, which machines on one table
+    can share.  The result has the fewest states and, per symbol, the
+    fewest moves; it is ``dfa`` itself when ``dfa`` is that machine
+    (start 0, numbering canonical).
     """
     k, delta, start, accepting = len(dfa.alphabet), dfa.table, dfa.start, dfa.accepting
     order, pre, canonical = search or _search(delta, start, k)  # read only: callers share it
@@ -112,26 +118,29 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
 
     size = len(live)
     blocks = [set(live[:final]), set(live[final:])] if final < size else [set(live)]
-    waiting = list(range(len(blocks)))  # LIFO; a block keeps its place when it splits
+    # LIFO of block ids, or ~q for a one-state block {q}; a block keeps its place when it splits
+    waiting = [0 if final > 1 else ~live[0], 1 if final < size - 1 else ~live[-1]] if final < size else [0]
     while waiting and len(blocks) < size:
-        splitter = blocks[waiting.pop()]
-        one = len(splitter) == 1
+        c = waiting.pop()
+        one = c < 0
         if one:
-            (t,) = splitter  # a one-state block never splits, so it need not be copied
+            t = ~c  # a one-state block never splits, so its state stands for it
         else:
-            splitter = list(splitter)  # the block may split below
+            splitter = list(blocks[c])  # the block may split below
         for into in pre:
             # s is reachable and moves into a live state, so it is live: block[s] >= 0
             if one:
                 sources = into[t]
                 if len(sources) < 2:
                     for s in sources:  # alone, s is the smaller half: split it off
-                        if len(blocks[block[s]]) > 1:  # a one-state block cannot split
-                            blocks[block[s]].remove(s)
+                        rest = blocks[block[s]]
+                        if len(rest) > 1:  # a one-state block cannot split
+                            rest.remove(s)
                             block[s] = len(blocks)
-                            waiting.append(len(blocks))
-                            blocks.append({s})
+                            waiting.append(~s)
+                            blocks.append(_ONE)
                     continue
+                splitter = (t,)  # two or more sources: grouped as any splitter's are
             hit: dict[int, list[int]] = {}
             for u in splitter:
                 for s in into[u]:
@@ -150,6 +159,8 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
                     new = len(blocks)
                     for s in moved:
                         block[s] = new
+                    if len(moved) == 1:  # queued as its state s, with the shared placeholder
+                        moved, new = _ONE, ~s
                     waiting.append(new)
                     blocks.append(moved)
 

@@ -303,3 +303,19 @@ def test_the_constructions_match_their_pair_by_pair_reference(pair, complete_a, 
 ], ids=["union-60-61", "intersection-31-37", "complement-800", "complement-complete"])
 def test_the_constructions_match_their_reference_at_benchmark_size(op, operands, reference):
     assert _parts(op(*operands)) == _parts(reference(*operands))
+
+
+# pair (0, 0)'s move when one side's move is undefined: a sentinel of -1 for
+# that side would alias, since a's move into 1 plus b's -1 is nb - 1, a valid index
+@pytest.mark.parametrize("table_a, table_b", [
+    ((1, 1), (-1, 2, 2)),
+    ((-1, 0), (2, 2, 2)),
+    ((-1, 0), (-1, 2, 2)),
+], ids=["a-into-1-b-undefined", "a-undefined-b-into-last", "both-undefined"])
+def test_intersection_leaves_a_move_undefined_when_either_side_is(table_a, table_b):
+    unary = Alphabet("b")
+    a = PartialDfa(unary, len(table_a), 0, {1}, table_a)
+    b = PartialDfa(unary, len(table_b), 0, {2}, table_b)
+    p = intersection_product(a, b)
+    assert p.table[0] == -1
+    assert _parts(p) == _parts(reference_intersection(a, b))
