@@ -36,7 +36,7 @@ from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from .boolean import complement, intersection_product, union_product
-from .core import Alphabet, PartialDfa, _bfs_order, render_dfa, transition_counts
+from .core import Alphabet, PartialDfa, _bfs_order, _int, render_dfa, transition_counts
 from .minimize import ComplexityReport, canonicalize, complexity, minimize
 from .oracle import _ENUM_LIMITS, brute_min_transitions
 from .witnesses import (
@@ -206,6 +206,7 @@ def sample_connected_dfa(
     automorphisms, so every canonical form of a given state count is hit
     with equal probability.  Only an accepted draw becomes a PartialDfa.
     """
+    _int("state_count", state_count)
     if state_count < 1:
         raise ValueError(f"a connected DFA needs at least one state, got {state_count}")
     n, k = state_count, len(alphabet)
@@ -218,11 +219,14 @@ def sample_connected_dfa(
             while r > n:
                 r = bit(width)
             table.append(r - 1)
-        accepting = [q for q in range(n) if bit(1)]
+        # bit(1) is the top bit of a word, and bit(32 * n) takes n words, least significant
+        # first: state q's bit(1) is this draw's bit 32*q + 31, read only for an accepted draw
+        flags = bit(32 * n)
         if require_incomplete and -1 not in table:
             continue
         if len(_bfs_order(table, 0, k)) != n:
             continue
+        accepting = [q for q in range(n) if flags >> (32 * q + 31) & 1]
         return canonicalize(PartialDfa(alphabet, n, 0, accepting, table))
 
 
@@ -233,6 +237,8 @@ def sample_pairs(
     require_incomplete: bool = False,
 ) -> list[tuple[PartialDfa, PartialDfa]]:
     """Seeded list of same-alphabet DFA pairs over 1-3 symbols."""
+    _int("count", count)
+    _int("max_states", max_states)
     if not 1 <= max_states <= _SAMPLE_STATE_CAP:
         # a uniform draw is connected ever more rarely: 1 in ~6,500 for unary at 10 states
         raise ValueError(f"random pairs take max_states in 1..{_SAMPLE_STATE_CAP}, got {max_states}")

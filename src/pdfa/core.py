@@ -210,6 +210,12 @@ def empty_language_dfa(alphabet: Alphabet) -> PartialDfa:
     return PartialDfa(alphabet, 1, 0, frozenset(), (-1,) * len(alphabet))
 
 
+def _int(name: str, value) -> None:
+    """Reject a size, count or loop count that is not an ``int`` (a bool is not one)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _undefined_table(n: int, k: int) -> list[int]:
     """The table of ``n`` states over ``k`` symbols with every move
     undefined; a ValueError when it is too long to index or to hold."""

@@ -86,17 +86,19 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
     algorithm; a move into a dead state counts as undefined, and every
     initial block is queued (Valmari and Lehtinen's rule, which stands in
     for the dead state).  A split keeps the larger half in the old block
-    and queues the smaller: O(m log n) work for m defined moves.  A pop
-    costs O(k) when its splitter is one state with at most one source
-    per symbol, as most pops on a large machine are; refinement still
-    stops early once every block is a single state.  A one-state block
-    is queued as its state, and every one split off shares one
-    placeholder block (it never splits), so splitting it off allocates
-    no set.  ``search``, when given, is ``_search``'s result for
-    ``dfa``'s table, start and symbol count, which machines on one table
-    can share.  The result has the fewest states and, per symbol, the
-    fewest moves; it is ``dfa`` itself when ``dfa`` is that machine
-    (start 0, numbering canonical).
+    and queues the smaller: O(m log n) work for m defined moves.  Every
+    push puts the smaller block on top, the initial pair included, so a
+    partition that becomes discrete stops before the larger initial
+    block is split on.  A pop costs O(k) when its splitter is one state
+    with at most one source per symbol, as most pops on a large machine
+    are; refinement still stops early once every block is a single
+    state.  A one-state block is queued as its state, and every one
+    split off shares one placeholder block (it never splits), so
+    splitting it off allocates no set.  ``search``, when given, is
+    ``_search``'s result for ``dfa``'s table, start and symbol count,
+    which machines on one table can share.  The result has the fewest
+    states and, per symbol, the fewest moves; it is ``dfa`` itself when
+    ``dfa`` is that machine (start 0, numbering canonical).
     """
     k, delta, start, accepting = len(dfa.alphabet), dfa.table, dfa.start, dfa.accepting
     order, pre, canonical = search or _search(delta, start, k)  # read only: callers share it
@@ -120,6 +122,8 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
     blocks = [set(live[:final]), set(live[final:])] if final < size else [set(live)]
     # LIFO of block ids, or ~q for a one-state block {q}; a block keeps its place when it splits
     waiting = [0 if final > 1 else ~live[0], 1 if final < size - 1 else ~live[-1]] if final < size else [0]
+    if 2 * final < size:  # the smaller initial block on top, as every split queues its smaller half
+        waiting.reverse()
     while waiting and len(blocks) < size:
         c = waiting.pop()
         one = c < 0

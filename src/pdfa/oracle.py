@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .core import Alphabet, PartialDfa, pair_equivalent, render_dfa, transition_counts
+from .core import Alphabet, PartialDfa, _int, pair_equivalent, render_dfa, transition_counts
 from .minimize import _search, canonicalize, minimize
 
 # Desk-scale caps by alphabet size, keeping any single call in the
@@ -107,6 +107,7 @@ def brute_min_transitions(target: PartialDfa, max_states: int = 0) -> OracleResu
     no equivalent DFA below it is rejected: it is under sc(L).
     """
     alphabet = target.alphabet
+    _int("max_states", max_states)
     if max_states < 0:
         raise ValueError(f"max_states must be 0 (search up to sc+1) or at least 1, got {max_states}")
     limit = _state_limit(alphabet)
@@ -208,6 +209,7 @@ def verify_lemma1(max_states: int, alphabet: Iterable[str]) -> Lemma1Report:
     moves on a symbol = sc - its certified minimum".  Only those groups
     are held; a cap-state machine with a new key has no other member.
     """
+    _int("max_states", max_states)
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
     alphabet = Alphabet(alphabet)  # any sequence of symbols, checked here

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-from .core import Alphabet, PartialDfa, _undefined_table
-
-
-def _int(name: str, value) -> None:
-    """Reject a size or loop count that is not an ``int`` (a bool is not one)."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
+from .core import Alphabet, PartialDfa, _int, _undefined_table
 
 
 def union_symbol_witness(

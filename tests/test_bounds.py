@@ -288,6 +288,18 @@ def test_sample_connected_dfa_rejects_fewer_than_one_state(state_count):
     assert rng.getstate() == random.Random(1).getstate()  # rejected before drawing
 
 
+@pytest.mark.parametrize("draw, name", [
+    (lambda value: sample_pairs(1, value, 3), "count"),
+    (lambda value: sample_pairs(1, 3, value), "max_states"),
+    (lambda value: sample_connected_dfa(random.Random(1), value, Alphabet("ab")), "state_count"),
+], ids=["count", "max_states", "state_count"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=["float", "integral-float", "bool", "str"])
+def test_a_sample_size_that_is_not_an_int_is_a_value_error_naming_it(draw, name, value):
+    """Not a TypeError or AttributeError from the draw, and a bool does not run as 1."""
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        draw(value)
+
+
 @pytest.mark.parametrize("max_states", [0, -1, 11, 40])
 def test_sample_pairs_rejects_max_states_out_of_range(max_states):
     with pytest.raises(ValueError, match=rf"^random pairs take max_states in 1\.\.10, got {max_states}$"):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import assume, given
 
@@ -309,6 +311,33 @@ def _large_products():
 
 def test_minimize_matches_moore_on_large_products():
     assert disagreements(minimize, _large_products()) == []
+
+
+def _grouped_splits(d: PartialDfa) -> int:
+    """How many splits ``minimize(d)`` makes by grouping a splitter's
+    sources: each calls ``set.difference_update`` once."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and getattr(arg, "__name__", None) == "difference_update":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        minimize(d)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("d", [unary_cycle(50), complement(unary_singleton(50))], ids=["cycle", "complement"])
+def test_minimize_splits_on_the_smaller_initial_block_first(d):
+    """One accepting state of 50, or one rejecting state of 52: split on
+    the lone state first and every split after it is a lone source, so
+    the partition is discrete before the large initial block is popped."""
+    assert _grouped_splits(d) == 0
 
 
 def _never_merges(d: PartialDfa, search=None) -> PartialDfa:

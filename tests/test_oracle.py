@@ -3,6 +3,7 @@ import functools
 import inspect
 import itertools
 import math
+import re
 import sys
 from collections import Counter
 
@@ -300,6 +301,17 @@ def test_lemma1_cap_names_the_largest_allowed_max_states(symbols, max_states):
     with pytest.raises(ValueError) as exc:
         verify_lemma1(max_states, Alphabet(symbols))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda max_states: verify_lemma1(max_states, "ab"),
+    lambda max_states: brute_min_transitions(epsilon_lang(), max_states),
+], ids=["verify_lemma1", "brute_min_transitions"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2"], ids=["float", "integral-float", "bool", "str"])
+def test_a_size_that_is_not_an_int_is_a_value_error_naming_max_states(oracle, value):
+    """Not a TypeError from ``range`` or ``<``, and a bool does not run as 1."""
+    with pytest.raises(ValueError, match=f"^max_states must be an int, got {re.escape(repr(value))}$"):
+        oracle(value)
 
 
 def test_brute_min_rejects_a_negative_cap_naming_the_auto_mode():
