@@ -51,8 +51,8 @@ def union_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
         [p * pb + q for p in a.accepting for q in range(pb)]
         + [p * pb + q for p in range(pa) for q in b.accepting]
     )
-    return PartialDfa(a.alphabet, pa * pb, a.start * pb + b.start, accepting,
-                      [-1 if t == dead else t for t in table])
+    return PartialDfa._derived(a.alphabet, pa * pb, a.start * pb + b.start, accepting,
+                               [-1 if t == dead else t for t in table])
 
 
 def intersection_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
@@ -76,8 +76,8 @@ def intersection_product(a: PartialDfa, b: PartialDfa) -> PartialDfa:
     for i in range(0, len(ta), k):  # a row of a against each of b's rows
         table += map(add, ta[i:i + k] * nb, tb)
     accepting = frozenset(p * nb + q for p in a.accepting for q in b.accepting)
-    return PartialDfa(a.alphabet, na * nb, a.start * nb + b.start, accepting,
-                      [-1 if t < 0 else t for t in table])
+    return PartialDfa._derived(a.alphabet, na * nb, a.start * nb + b.start, accepting,
+                               [-1 if t < 0 else t for t in table])
 
 
 def complement(a: PartialDfa) -> PartialDfa:
@@ -92,4 +92,4 @@ def complement(a: PartialDfa) -> PartialDfa:
     sink = a.state_count
     table = [sink if t < 0 else t for t in a.table] + [sink] * len(a.alphabet)
     accepting = frozenset(range(sink + 1)).difference(a.accepting)
-    return PartialDfa(a.alphabet, sink + 1, a.start, accepting, table)
+    return PartialDfa._derived(a.alphabet, sink + 1, a.start, accepting, table)

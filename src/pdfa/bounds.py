@@ -33,7 +33,7 @@ from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .boolean import complement, intersection_product, union_product
 from .core import Alphabet, PartialDfa, _bfs_order, _int, render_dfa, transition_counts
@@ -196,7 +196,7 @@ def render_report_table(reports: Sequence[BoundCheckReport]) -> str:
 # --- seeded random sampling -------------------------------------------------
 
 def sample_connected_dfa(
-    rng: random.Random, state_count: int, alphabet: Alphabet, require_incomplete: bool = False
+    rng: random.Random, state_count: int, alphabet: Iterable[str], require_incomplete: bool = False
 ) -> PartialDfa:
     """One uniform canonical connected partial DFA with the given size.
 
@@ -204,11 +204,15 @@ def sample_connected_dfa(
     target) plus accepting set, rejects disconnected draws, and
     canonicalizes.  Connected deterministic automata have no nontrivial
     automorphisms, so every canonical form of a given state count is hit
-    with equal probability.  Only an accepted draw becomes a PartialDfa.
+    with equal probability.  ``alphabet`` is any sequence of symbols,
+    which :class:`Alphabet` checks; only an accepted draw becomes a
+    PartialDfa.
     """
     _int("state_count", state_count)
     if state_count < 1:
         raise ValueError(f"a connected DFA needs at least one state, got {state_count}")
+    if type(alphabet) is not Alphabet:
+        alphabet = Alphabet(alphabet)
     n, k = state_count, len(alphabet)
     # each slot is rng.choice(range(-1, n)), inlined: the same words from the stream
     width, bit = (n + 1).bit_length(), rng.getrandbits
@@ -227,7 +231,7 @@ def sample_connected_dfa(
         if len(_bfs_order(table, 0, k)) != n:
             continue
         accepting = [q for q in range(n) if flags >> (32 * q + 31) & 1]
-        return canonicalize(PartialDfa(alphabet, n, 0, accepting, table))
+        return canonicalize(PartialDfa._derived(alphabet, n, 0, accepting, table))
 
 
 def sample_pairs(

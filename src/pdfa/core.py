@@ -57,9 +57,11 @@ class PartialDfa:
     which :class:`Alphabet` checks.  It rejects a malformed machine -- a
     table of the wrong length, a state count, start, accepting or target
     state that is not an ``int`` (a bool is not), or a state outside
-    ``0..n-1`` -- with a ValueError listing every violation, so every
-    instance is well formed.  Instances are immutable and
-    hashable: equal machines have equal tables.
+    ``0..n-1`` -- with a ValueError listing every violation.  A caller's
+    parts are checked here, where they enter; machines the library
+    derives from checked ones come from ``_derived``, the one private
+    builder that skips the check.  So every instance is well formed.
+    Instances are immutable and hashable: equal machines have equal tables.
     """
 
     alphabet: Alphabet
@@ -96,27 +98,20 @@ class PartialDfa:
         put(self, "accepting", accepting)
         put(self, "table", table)
 
-    def _relabelled(self, accepting_sets: Iterable[frozenset[int]]) -> Iterator[PartialDfa]:
-        """This machine under each accepting set in turn, sharing its table.
-
-        Nothing is checked again: each set must be a frozenset of this
-        machine's accepting states, which its construction checked.
-        """
-        cls, new = type(self), object.__new__
-        # the slots' own setters, which the frozen __setattr__ does not guard
-        put_alphabet, put_n, put_start, put_accepting, put_table = (
-            cls.alphabet.__set__, cls.state_count.__set__, cls.start.__set__,
-            cls.accepting.__set__, cls.table.__set__,
-        )
-        alphabet, n, start, table = self.alphabet, self.state_count, self.start, self.table
-        for accepting in accepting_sets:
-            dfa = new(cls)
-            put_alphabet(dfa, alphabet)
-            put_n(dfa, n)
-            put_start(dfa, start)
-            put_accepting(dfa, accepting)
-            put_table(dfa, table)
-            yield dfa
+    @classmethod
+    def _derived(cls, alphabet: Alphabet, state_count: int, start: int,
+                 accepting: Iterable[int], table: Iterable[int]) -> PartialDfa:
+        """The machine with these parts, unchecked: only for machines derived
+        from checked ones (quotients, renumberings, products, parses, samples,
+        enumerated tables), whose ``alphabet`` is an :class:`Alphabet`."""
+        dfa = object.__new__(cls)
+        put = object.__setattr__  # the frozen __setattr__ refuses
+        put(dfa, "alphabet", alphabet)
+        put(dfa, "state_count", state_count)
+        put(dfa, "start", start)
+        put(dfa, "accepting", frozenset(accepting))
+        put(dfa, "table", tuple(table))
+        return dfa
 
     def is_complete(self) -> bool:
         return -1 not in self.table
@@ -248,8 +243,8 @@ def parse_dfa(text: str) -> PartialDfa:
 
     Headers must appear in that order; every remaining line is one
     ``src symbol dst`` transition.  Errors carry the offending line
-    number and enforce well-formedness, so the constructor never rejects
-    a parsed machine.
+    number and enforce well-formedness, so the machine is built without
+    the constructor's check.
     """
     lines = enumerate(text.splitlines(), start=1)
 
@@ -323,7 +318,7 @@ def parse_dfa(text: str) -> PartialDfa:
         if table[slot] != -1:
             raise DfaParseError(lineno, f"duplicate transition for state {src} on symbol {sym!r}")
         table[slot] = dst
-    return PartialDfa(alphabet, state_count, start, accepting, table)
+    return PartialDfa._derived(alphabet, state_count, start, accepting, table)
 
 
 def render_dfa(dfa: PartialDfa) -> str:

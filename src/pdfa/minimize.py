@@ -52,7 +52,7 @@ def canonicalize(dfa: PartialDfa) -> PartialDfa:
         number[q] = i
     out = [number[t] if t >= 0 else -1 for q in order for t in table[q * k:q * k + k]]
     accepting = frozenset(number[q] for q in dfa.accepting)
-    return PartialDfa(dfa.alphabet, n, 0, accepting, out)
+    return PartialDfa._derived(dfa.alphabet, n, 0, accepting, out)
 
 
 def _search(table: tuple[int, ...], start: int, k: int) -> tuple[list[int], list[list[list[int]]], bool]:
@@ -185,7 +185,8 @@ def minimize(dfa: PartialDfa, search: tuple | None = None) -> PartialDfa:
                 i = number[c] = len(reps)
                 reps.append(t)
             table.append(i)
-    return PartialDfa(dfa.alphabet, len(reps), 0, (i for i, q in enumerate(reps) if q in accepting), table)
+    return PartialDfa._derived(dfa.alphabet, len(reps), 0,
+                               (i for i, q in enumerate(reps) if q in accepting), table)
 
 
 def complexity(dfa: PartialDfa) -> ComplexityReport:

@@ -60,6 +60,18 @@ MALFORMED = {
 }
 
 
+def assert_well_formed(dfa: PartialDfa) -> None:
+    """``dfa`` is the machine the checking constructor builds from its parts
+    (equal, with an equal hash), and each part has its exact type: a machine
+    the library derives without the check must pass as if checked."""
+    assert type(dfa.alphabet) is Alphabet
+    assert type(dfa.state_count) is int and type(dfa.start) is int
+    assert type(dfa.accepting) is frozenset and all(type(q) is int for q in dfa.accepting)
+    assert type(dfa.table) is tuple and all(type(t) is int for t in dfa.table)
+    rebuilt = PartialDfa(dfa.alphabet, dfa.state_count, dfa.start, dfa.accepting, dfa.table)
+    assert rebuilt == dfa and hash(rebuilt) == hash(dfa)
+
+
 def moves(dfa: PartialDfa) -> dict[tuple[int, str], int]:
     """The defined moves as a ``(state, symbol) -> state`` dict, read off the table."""
     k = len(dfa.alphabet)

@@ -13,7 +13,7 @@ from pdfa import (
     transition_counts,
     union_product,
 )
-from pdfa.bounds import union_symbol_upper
+from pdfa.bounds import sample_pairs, union_symbol_upper
 from pdfa.witnesses import (
     epsilon_lang,
     unary_cycle,
@@ -22,7 +22,7 @@ from pdfa.witnesses import (
     union_total_witness,
 )
 
-from conftest import MALFORMED, accepts, dfa_pairs, language, moves, partial_dfas, words
+from conftest import MALFORMED, accepts, assert_well_formed, dfa_pairs, language, moves, partial_dfas, words
 from moore import reachable
 
 
@@ -303,6 +303,15 @@ def test_the_constructions_match_their_pair_by_pair_reference(pair, complete_a, 
 ], ids=["union-60-61", "intersection-31-37", "complement-800", "complement-complete"])
 def test_the_constructions_match_their_reference_at_benchmark_size(op, operands, reference):
     assert _parts(op(*operands)) == _parts(reference(*operands))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_constructions_and_sampled_operands_are_well_formed(seed):
+    """The products, the complement and the sampler's draws are built
+    without the constructor's check, from parts that were checked."""
+    for a, b in sample_pairs(seed, 300):
+        for dfa in (a, b, union_product(a, b), intersection_product(a, b), complement(a)):
+            assert_well_formed(dfa)
 
 
 # pair (0, 0)'s move when one side's move is undefined: a sentinel of -1 for

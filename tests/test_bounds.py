@@ -288,6 +288,12 @@ def test_sample_connected_dfa_rejects_fewer_than_one_state(state_count):
     assert rng.getstate() == random.Random(1).getstate()  # rejected before drawing
 
 
+def test_sample_connected_dfa_checks_its_alphabet():
+    with pytest.raises(ValueError, match="^alphabet symbols must be distinct$"):
+        sample_connected_dfa(random.Random(0), 2, "aa")
+    assert type(sample_connected_dfa(random.Random(0), 2, "ab").alphabet) is Alphabet
+
+
 @pytest.mark.parametrize("draw, name", [
     (lambda value: sample_pairs(1, value, 3), "count"),
     (lambda value: sample_pairs(1, 3, value), "max_states"),

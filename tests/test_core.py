@@ -20,7 +20,7 @@ from pdfa import (
 )
 from pdfa.witnesses import union_symbol_witness, unary_singleton
 
-from conftest import accepts, language, moves, partial_dfas, words
+from conftest import accepts, assert_well_formed, language, moves, partial_dfas, words
 from moore import coaccessible, reachable, trim
 
 
@@ -399,11 +399,15 @@ def _mutated_corpus(count: int, seed: int):
 def test_parse_outcomes_of_a_mutated_corpus_are_pinned():
     """Every outcome -- the rendering, or the error's line and message -- of
     4,000 mutated texts, by one SHA-256: a parser that checks a line's parts
-    in another order, or reads a text another way, changes the digest."""
+    in another order, or reads a text another way, changes the digest.
+    A parsed machine is built without the constructor's check, so each one
+    must be the machine the checking constructor builds."""
     digest, parsed, messages = hashlib.sha256(), 0, set()
     for text in _mutated_corpus(4000, seed=28):
         try:
-            outcome = render_dfa(parse_dfa(text))
+            m = parse_dfa(text)
+            assert_well_formed(m)
+            outcome = render_dfa(m)
             parsed += 1
         except DfaParseError as exc:
             outcome = f"{exc.line}\n{exc}"
@@ -411,6 +415,12 @@ def test_parse_outcomes_of_a_mutated_corpus_are_pinned():
         digest.update(outcome.encode() + b"\0")
     assert parsed >= 400 and len(messages) >= 12  # the corpus reaches far past its headers
     assert digest.hexdigest() == "f5d8f284219177dbc80277e7172047528db2da3036346228f25d4e7d82e38da6"
+
+
+def test_empty_language_dfa_checks_its_alphabet():
+    with pytest.raises(ValueError, match="^alphabet symbols must be distinct$"):
+        empty_language_dfa("aa")
+    assert type(empty_language_dfa("ab").alphabet) is Alphabet
 
 
 def test_render_dot_marks_accepting_and_start():

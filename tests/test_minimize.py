@@ -14,6 +14,7 @@ from pdfa import (
     intersection_product,
     minimize,
     pair_equivalent,
+    parse_dfa,
     render_dfa,
     transition_counts,
     union_product,
@@ -30,7 +31,7 @@ from pdfa.witnesses import (
     union_total_witness,
 )
 
-from conftest import MALFORMED, dfa_pairs, language, moves, partial_dfas
+from conftest import MALFORMED, assert_well_formed, dfa_pairs, language, moves, partial_dfas
 from moore import complete_with_sink, moore_minimize, reachable, restrict, trim
 
 
@@ -201,6 +202,7 @@ def test_canonicalize_matches_the_reference_numbering(d):
     states as the Moore reference's own BFS does, and is then a fixed point."""
     assume(reachable(d) == frozenset(range(d.state_count)))
     c = canonicalize(d)
+    assert_well_formed(c)
     assert c == restrict(d, frozenset(range(d.state_count)))
     assert canonicalize(c) is c
 
@@ -208,6 +210,7 @@ def test_canonicalize_matches_the_reference_numbering(d):
 @given(partial_dfas())
 def test_minimize_output_is_canonical(d):
     m = minimize(d)
+    assert_well_formed(m)
     assert canonicalize(m) == m
 
 
@@ -237,6 +240,14 @@ def _small_dfas(max_states: int, symbols: str) -> list[PartialDfa]:
 @pytest.mark.parametrize("max_states, symbols", [(3, "ab"), (6, "b")])
 def test_minimize_matches_moore_on_every_small_dfa(max_states, symbols):
     assert disagreements(minimize, _small_dfas(max_states, symbols)) == []
+
+
+def test_minimal_and_canonical_machines_are_well_formed():
+    """``minimize`` and ``canonicalize`` build without the constructor's
+    check; relabeled machines make ``canonicalize`` renumber."""
+    for d in _small_dfas(3, "ab"):
+        assert_well_formed(minimize(d))
+        assert_well_formed(canonicalize(d))
 
 
 def test_minimize_returns_a_minimal_machine_itself():
@@ -311,6 +322,19 @@ def _large_products():
 
 def test_minimize_matches_moore_on_large_products():
     assert disagreements(minimize, _large_products()) == []
+
+
+@pytest.mark.parametrize("d", [
+    union_product(union_symbol_witness(60, 9), union_symbol_witness(61, 37)),
+    intersection_product(unary_cycle(31), unary_cycle(37)),
+    unary_singleton(1200),
+    complement(unary_singleton(800)),
+], ids=["union-3782", "intersection-31-37", "chain-1200", "complement-800"])
+def test_benchmark_size_machines_are_well_formed(d):
+    """The four large machines, parsed back from their text and minimized:
+    all built without the constructor's check."""
+    for m in (d, parse_dfa(render_dfa(d)), minimize(d)):
+        assert_well_formed(m)
 
 
 def _grouped_splits(d: PartialDfa) -> int:

@@ -35,6 +35,7 @@ from pdfa.oracle import (
 )
 from pdfa.witnesses import epsilon_lang, unary_singleton, union_symbol_witness
 
+from conftest import assert_well_formed
 from moore import reachable
 from test_minimize import _never_merges, _one_wrong_merge
 
@@ -87,12 +88,12 @@ def test_enumerated_dfas_are_canonical_and_valid():
         assert reachable(d) == frozenset(range(d.state_count))
         assert canonicalize(d) == d
         assert d.start == 0
-    # the enumerator checks each table once and shares it among 2^n machines:
-    # every machine is still the one the checking constructor builds
+    # the enumerator builds its machines without the constructor's check and
+    # shares each table among 2^n of them: every machine is still the one the
+    # checking constructor builds
     for max_states, symbols in ((3, "ab"), (6, "b"), (2, "abc")):
         for d in _all_dfas(max_states, Alphabet(symbols)):
-            fields = (d.alphabet, d.state_count, d.start, d.accepting, d.table)
-            assert PartialDfa(*fields) == d
+            assert_well_formed(d)
 
 
 def test_enumeration_is_deterministic_and_size_ordered():
