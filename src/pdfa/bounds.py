@@ -557,13 +557,6 @@ _suite("complement-upper", _complement_upper_pair)
 CHECK_PARAMS = tuple(dict.fromkeys(name for _body, params, _coprime in _CLAIMS.values() for name in params))
 
 
-def _int_param(name: str, value: object) -> int:
-    """``value`` itself if it is an int and not a bool, else the ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"parameter {name!r} must be an int, got {value!r}")
-    return value
-
-
 def check_bound(bound_id: str, params: Mapping[str, int] | None = None) -> BoundCheckReport:
     """Run one bound check; see the module docstring for verdict semantics.
 
@@ -583,7 +576,8 @@ def check_bound(bound_id: str, params: Mapping[str, int] | None = None) -> Bound
     p: dict[str, int] = {}
     for name, param in signature.items():
         if name in given:
-            p[name] = _int_param(name, given[name])
+            _int(f"parameter {name!r}", given[name])
+            p[name] = given[name]
         elif param.default is param.empty:
             raise ValueError(f"missing required parameter {name!r}")
         else:
@@ -609,7 +603,7 @@ def run_suite(
     (``_kept``), dropped when the group ends.
     """
     for name, value in (("max_n", max_n), ("seed", seed), ("pairs", pairs)):
-        _int_param(name, value)
+        _int(f"parameter {name!r}", value)
     if max_n < 3:
         raise ValueError(f"need max_n >= 3 to instantiate the tight families, got {max_n}")
     if pairs < 1:  # checked before any row runs, not when the sampled rows come

@@ -25,7 +25,7 @@ from .bounds import (
     render_report_table,
     run_suite,
 )
-from .core import Alphabet, PartialDfa, parse_dfa, render_dfa, render_dot, transition_counts
+from .core import PartialDfa, parse_dfa, render_dfa, render_dot, transition_counts
 from .minimize import complexity, equivalent, minimize
 from .oracle import brute_min_transitions, verify_lemma1
 from .witnesses import WITNESS_FAMILIES
@@ -105,8 +105,6 @@ def _witness(args: argparse.Namespace) -> PartialDfa:
     for name, required in takes.items():
         if required and name not in params:
             raise ValueError(f"witness family {family!r} requires --{name}")
-    if "alphabet" in params:
-        params["alphabet"] = Alphabet(params["alphabet"])
     if "loop" in params:
         k_map = params["k_map"] = {}
         for item in params.pop("loop"):
@@ -168,7 +166,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         _write(args.out, render_dfa, result.witness_dfa)
         return 0
     if args.oracle_cmd == "verify-lemma1":
-        report = verify_lemma1(args.max_states, Alphabet(args.alphabet))
+        report = verify_lemma1(args.max_states, args.alphabet)
         verdict = "pass" if report.ok else "fail"
         print(
             f"verify-lemma1 max_states={report.max_states} "

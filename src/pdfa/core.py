@@ -17,8 +17,7 @@ equal languages produce byte-identical artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import countOf
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class DfaParseError(ValueError):
@@ -57,11 +56,14 @@ class PartialDfa:
     which :class:`Alphabet` checks.  It rejects a malformed machine -- a
     table of the wrong length, a state count, start, accepting or target
     state that is not an ``int`` (a bool is not), or a state outside
-    ``0..n-1`` -- with a ValueError listing every violation.  A caller's
-    parts are checked here, where they enter; machines the library
-    derives from checked ones come from ``_derived``, the one private
-    builder that skips the check.  So every instance is well formed.
-    Instances are immutable and hashable: equal machines have equal tables.
+    ``0..n-1`` -- with a ValueError listing every violation.  It serves
+    callers outside the library, whose parts are checked here, where they
+    enter.  The library builds through ``_derived``, the one private
+    builder that skips the check: the witness families and
+    ``empty_language_dfa`` check their parameters first, and every other
+    machine is derived from checked ones.  So every instance is well
+    formed.  Instances are immutable and hashable: equal machines have
+    equal tables.
     """
 
     alphabet: Alphabet
@@ -78,19 +80,13 @@ class PartialDfa:
         try:
             accepting = frozenset(accepting)
         except TypeError:  # an unhashable part is not an int; from an iterator it is already consumed
-            raise _malformed(alphabet, n, start, accepting, table) from None
+            raise (_malformed(alphabet, n, start, accepting, table)
+                   or ValueError("malformed DFA: an accepting state is not hashable")) from None
         if len(table) != n * len(alphabet):
             raise ValueError(f"malformed DFA: table length {len(table)} is not "
                              f"{n} states times {len(alphabet)} symbols")
-        if (
-            type(n) is not int or type(start) is not int  # a bool is not an int here
-            or countOf(map(type, table), int) != len(table)
-            or countOf(map(type, accepting), int) != len(accepting)
-            or (table and (min(table) < -1 or max(table) >= n))
-            or not 0 <= start < n
-            or (accepting and (min(accepting) < 0 or max(accepting) >= n))
-        ):
-            raise _malformed(alphabet, n, start, accepting, table)
+        if error := _malformed(alphabet, n, start, accepting, table):
+            raise error
         put = object.__setattr__
         put(self, "alphabet", alphabet)
         put(self, "state_count", n)
@@ -101,9 +97,9 @@ class PartialDfa:
     @classmethod
     def _derived(cls, alphabet: Alphabet, state_count: int, start: int,
                  accepting: Iterable[int], table: Iterable[int]) -> PartialDfa:
-        """The machine with these parts, unchecked: only for machines derived
-        from checked ones (quotients, renumberings, products, parses, samples,
-        enumerated tables), whose ``alphabet`` is an :class:`Alphabet`."""
+        """The machine with these parts, unchecked: only for parts the library
+        checked or derived from checked ones (witnesses, quotients, products,
+        parses, samples, enumerated tables), with ``alphabet`` an :class:`Alphabet`."""
         dfa = object.__new__(cls)
         put = object.__setattr__  # the frozen __setattr__ refuses
         put(dfa, "alphabet", alphabet)
@@ -117,15 +113,10 @@ class PartialDfa:
         return -1 not in self.table
 
 
-def _moves(alphabet: Alphabet, table: tuple[int, ...]) -> Iterator[tuple[int, str, int]]:
-    """The defined moves ``(src, symbol, dst)`` of a table, in table order."""
-    k = len(alphabet)
-    return ((i // k, alphabet[i % k], t) for i, t in enumerate(table) if t != -1)
-
-
-def _malformed(alphabet, n, start, accepting, table) -> ValueError:
+def _malformed(alphabet, n, start, accepting, table) -> ValueError | None:
     """The error for a malformed machine, listing every violation among its
-    states (numbers in order, then other parts by repr) and table entries."""
+    states (numbers in order, then other parts by repr) and table entries;
+    None for a sound machine."""
     bad: list[str] = []
     if type(n) is not int:
         bad.append(f"state count must be an int, got {n!r}")
@@ -141,12 +132,13 @@ def _malformed(alphabet, n, start, accepting, table) -> ValueError:
         elif not 0 <= q < n:
             bad.append(f"accepting state {q} out of range 0..{n - 1}")
     k = len(alphabet)
-    for src, sym, dst in sorted((i // k, alphabet[i % k], t) for i, t in enumerate(table)):
+    for src, sym, dst in sorted((i // k, alphabet[i % k], t) for i, t in enumerate(table)
+                                if type(t) is not int or not -1 <= t < n):  # the bad slots only
         if type(dst) is not int:
             bad.append(f"transition ({src}, {sym!r}) -> {dst!r}: target is not an int")
         elif not -1 <= dst < n:
             bad.append(f"transition ({src}, {sym!r}) -> {dst}: target out of range")
-    return ValueError("malformed DFA: " + ("; ".join(bad) or "an accepting state is not hashable"))
+    return ValueError("malformed DFA: " + "; ".join(bad)) if bad else None
 
 
 @dataclass(frozen=True)
@@ -200,9 +192,11 @@ def pair_equivalent(a: PartialDfa, b: PartialDfa) -> bool:
     return True
 
 
-def empty_language_dfa(alphabet: Alphabet) -> PartialDfa:
+def empty_language_dfa(alphabet: Iterable[str]) -> PartialDfa:
     """The canonical recognizer of the empty language: one bare state."""
-    return PartialDfa(alphabet, 1, 0, frozenset(), (-1,) * len(alphabet))
+    if type(alphabet) is not Alphabet:
+        alphabet = Alphabet(alphabet)
+    return PartialDfa._derived(alphabet, 1, 0, (), (-1,) * len(alphabet))
 
 
 def _int(name: str, value) -> None:
@@ -346,8 +340,10 @@ def render_dot(dfa: PartialDfa) -> str:
         shape = "doublecircle" if q in dfa.accepting else "circle"
         out.append(f"  {q} [shape={shape}];")
     out.append(f"  __start -> {dfa.start};")
-    for src, sym, dst in _moves(dfa.alphabet, dfa.table):
-        label = sym.replace("\\", "\\\\").replace('"', '\\"')  # DOT's quoted-string escapes
-        out.append(f'  {src} -> {dst} [label="{label}"];')
+    alphabet, k = dfa.alphabet, len(dfa.alphabet)
+    for i, t in enumerate(dfa.table):
+        if t >= 0:
+            label = alphabet[i % k].replace("\\", "\\\\").replace('"', '\\"')  # DOT's quoted-string escapes
+            out.append(f'  {i // k} -> {t} [label="{label}"];')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -5,7 +5,7 @@ confirm this via the minimizer rather than trusting it).  Generators
 take the alphabet explicitly -- or derive the smallest one -- because
 some complexity measurements only make sense over a larger alphabet
 than the witness actually uses; an unused symbol simply has no
-transitions.
+transitions.  Each checks its parameters and skips ``PartialDfa``'s check.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def union_multi_witness(
         j = alphabet.index(d)
         for i in range(loops):
             table[i * k + j] = i
-    return PartialDfa(alphabet, n, 0, frozenset({0}), table)
+    return PartialDfa._derived(alphabet, n, 0, frozenset({0}), table)
 
 
 def union_total_witness(
@@ -97,7 +97,7 @@ def unary_singleton(n: int, alphabet: Iterable[str] | None = None) -> PartialDfa
     table = _undefined_table(n + 1, k)
     for i in range(n):
         table[i * k + j] = i + 1
-    return PartialDfa(alphabet, n + 1, 0, frozenset({n}), table)
+    return PartialDfa._derived(alphabet, n + 1, 0, frozenset({n}), table)
 
 
 def chain_star_witness(m: int, alphabet: Iterable[str] | None = None) -> PartialDfa:
@@ -117,13 +117,13 @@ def chain_star_witness(m: int, alphabet: Iterable[str] | None = None) -> Partial
     table[a] = 0  # the a-loop on the start
     for i in range(m - 1):
         table[i * k + b] = i + 1
-    return PartialDfa(alphabet, m, 0, frozenset({m - 1}), table)
+    return PartialDfa._derived(alphabet, m, 0, frozenset({m - 1}), table)
 
 
 def epsilon_lang(alphabet: Iterable[str] | None = None) -> PartialDfa:
     """Recognizer of {empty word}: one accepting state, no transitions."""
     alphabet = Alphabet(("a", "b") if alphabet is None else alphabet)
-    return PartialDfa(alphabet, 1, 0, frozenset({0}), [-1] * len(alphabet))
+    return PartialDfa._derived(alphabet, 1, 0, frozenset({0}), [-1] * len(alphabet))
 
 
 # each `pdfa witness` family by name; its constructor's signature is its

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 from collections import Counter
+from enum import IntEnum
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -113,14 +114,19 @@ def test_check_rejects_parameters_the_claim_does_not_take():
     assert "max_n" in str(exc.value)
 
 
+class _Size(IntEnum):
+    FIVE = 5
+
+
 @pytest.mark.parametrize("bound, params, shown", [
     ("intersection-tight", {"n1": 2.9, "n2": 3}, "'n1' must be an int, got 2.9"),
     ("union-total-upper", {"pairs": True}, "'pairs' must be an int, got True"),
     ("intersection-tight", {"n1": "5", "n2": 3}, "'n1' must be an int, got '5'"),
+    ("intersection-tight", {"n1": _Size.FIVE, "n2": 3}, f"'n1' must be an int, got {_Size.FIVE!r}"),
 ])
 def test_check_rejects_a_parameter_that_is_not_an_int(bound, params, shown):
-    """A float, a bool or a string is refused, not turned into an int."""
-    with pytest.raises(ValueError, match=f"^parameter {shown}$"):
+    """A float, a bool, a string or an int subclass is refused, not turned into an int."""
+    with pytest.raises(ValueError, match=f"^{re.escape(f'parameter {shown}')}$"):
         check_bound(bound, params)
 
 
@@ -128,6 +134,7 @@ def test_check_rejects_a_parameter_that_is_not_an_int(bound, params, shown):
     ({"max_n": 5.5}, "parameter 'max_n' must be an int, got 5.5"),
     ({"seed": "1"}, "parameter 'seed' must be an int, got '1'"),
     ({"pairs": True}, "parameter 'pairs' must be an int, got True"),
+    ({"max_n": _Size.FIVE}, f"parameter 'max_n' must be an int, got {_Size.FIVE!r}"),
     ({"pairs": 0}, "need at least one pair, got 0"),
     ({"pairs": -3}, "need at least one pair, got -3"),
 ])

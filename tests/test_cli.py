@@ -204,6 +204,17 @@ def test_a_witness_size_that_cannot_be_built_exits_2(argv, message, capsys):
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["witness", "unary-singleton", "--n", "0", "--alphabet", "aa"], "word length must be at least 1, got 0"),
+    (["oracle", "verify-lemma1", "--max-states", "0", "--alphabet", "aa"], "max_states must be at least 1, got 0"),
+], ids=["witness", "verify-lemma1"])
+def test_the_alphabet_is_checked_by_the_library_in_its_order(argv, message, capsys):
+    """--alphabet reaches the library as given, so a bad size is named before a bad alphabet."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_witness_requires_its_parameters(capsys):
     assert main(["witness", "union-symbol", "--k", "1"]) == 2
     assert "--n" in capsys.readouterr().err

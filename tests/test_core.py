@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import random
 import re
 import sys
@@ -18,7 +19,9 @@ from pdfa import (
     transition_counts,
     union_product,
 )
-from pdfa.witnesses import union_symbol_witness, unary_singleton
+from pdfa.bounds import run_suite
+from pdfa.oracle import verify_lemma1
+from pdfa.witnesses import unary_cycle, unary_singleton, union_symbol_witness
 
 from conftest import accepts, assert_well_formed, language, moves, partial_dfas, words
 from moore import coaccessible, reachable, trim
@@ -26,6 +29,15 @@ from moore import coaccessible, reachable, trim
 
 def test_every_exported_name_resolves():
     assert [name for name in pdfa.__all__ if not hasattr(pdfa, name)] == []
+
+
+def test_pdfa_minimize_is_the_function_and_its_module_is_imported_by_name():
+    """The package re-exports the function under the submodule's name, so
+    ``pdfa.minimize`` is the function; ``from pdfa.minimize import ...``
+    reaches the module."""
+    module = importlib.import_module("pdfa.minimize")
+    assert module.minimize is pdfa.minimize
+    assert module.canonicalize is pdfa.canonicalize
 
 
 def test_alphabet_rejects_empty():
@@ -421,6 +433,41 @@ def test_empty_language_dfa_checks_its_alphabet():
     with pytest.raises(ValueError, match="^alphabet symbols must be distinct$"):
         empty_language_dfa("aa")
     assert type(empty_language_dfa("ab").alphabet) is Alphabet
+
+
+def _large_ops_at_smoke_size() -> None:
+    """The benchmark's large-machine path, small: parse the rendered
+    witnesses, build the union, intersection and complement, minimize and render."""
+    for op, operands in (
+        (pdfa.union_product, (union_symbol_witness(9, 4), union_symbol_witness(10, 7))),
+        (pdfa.intersection_product, (unary_cycle(9), unary_cycle(11))),
+        (pdfa.complement, (unary_singleton(100),)),
+        (lambda d: d, (unary_singleton(100),)),
+    ):
+        render_dfa(pdfa.minimize(op(*(parse_dfa(render_dfa(d)) for d in operands))))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: verify_lemma1(2, "ab"),
+    lambda: run_suite(5, 0, 20),
+    _large_ops_at_smoke_size,
+], ids=["verify-lemma1", "run-suite", "large-ops"])
+def test_the_library_builds_no_machine_through_the_checking_constructor(run, monkeypatch):
+    """Witnesses, products, quotients and the empty-language machine are
+    built from parts already checked: the constructor's check is for
+    machines from outside the library."""
+    checked_init, calls = PartialDfa.__init__, []
+
+    def counting_init(self, *args):
+        calls.append(args)
+        checked_init(self, *args)
+
+    monkeypatch.setattr(PartialDfa, "__init__", counting_init)
+    PartialDfa(Alphabet("a"), 1, 0, (), (-1,))
+    assert len(calls) == 1  # the wrapper counts
+    calls.clear()
+    run()
+    assert calls == []
 
 
 def test_render_dot_marks_accepting_and_start():

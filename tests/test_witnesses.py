@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from pdfa import Alphabet, complexity, minimize, parse_dfa, render_dfa
+from pdfa import Alphabet, complexity, empty_language_dfa, minimize, parse_dfa, render_dfa
 from pdfa.witnesses import (
     WITNESS_FAMILIES,
     chain_star_witness,
@@ -15,7 +15,7 @@ from pdfa.witnesses import (
     union_total_witness,
 )
 
-from conftest import accepts, words
+from conftest import accepts, assert_well_formed, words
 
 
 def _matches(dfa, pattern, max_len=9):
@@ -151,16 +151,34 @@ def test_epsilon_language():
 
 
 def test_all_witnesses_pass_validation():
+    """The families build without the constructor's check, from parameters
+    they checked: each machine passes as if checked, at the smallest legal
+    sizes, at k = n - 1 and over every form of a given alphabet."""
     samples = [
         union_symbol_witness(4, 2),
+        union_symbol_witness(2, 1),
+        union_symbol_witness(5, 4),
         union_multi_witness(3, {"a": 2}),
+        union_multi_witness(1),
+        union_multi_witness(2, {"a": 1, "b": 1}),
+        union_multi_witness(4, {"a": 3, "b": 3}),
         union_total_witness(3),
+        union_total_witness(2),
         unary_cycle(2),
+        unary_cycle(1),
         unary_singleton(5),
+        unary_singleton(1),
         chain_star_witness(3),
+        chain_star_witness(1),
         epsilon_lang(),
+        *(build(symbols) for build in _GIVEN_ALPHABET.values()
+          for symbols in ("abc", ["a", "b", "c"], ("a", "b", "c"), Alphabet("abc"))),
+        empty_language_dfa("a"),
+        empty_language_dfa(("a", "b")),
+        empty_language_dfa(Alphabet("abc")),
     ]
     for d in samples:
+        assert_well_formed(d)
         assert parse_dfa(render_dfa(d)) == d  # the text entry point's checks accept it too
         assert minimize(d) == d  # every family builds its own minimal DFA
 
